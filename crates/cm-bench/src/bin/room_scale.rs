@@ -7,7 +7,9 @@
 //!
 //! - default: run the `city_10k` workload once, flat (one engine), and
 //!   write the measured numbers to `BENCH_scale.json` (or the `--out`
-//!   path).
+//!   path). Only this plain run owns the committed artifact: with
+//!   `--smoke`, `--metrics` or `--runs` nothing is written unless
+//!   `--out` names a path.
 //! - `--zones Z`: run the zone-sharded cluster executor with `Z` worker
 //!   threads over the workload's fixed logical partition
 //!   (`CityConfig::zones`; override with `--city-zones`). Results are
@@ -172,6 +174,14 @@ fn write_report(path: &str, json: &str) {
     eprintln!("wrote {path}");
 }
 
+/// Write a result artifact — or nothing, when the run has no output path
+/// (smoke and A/B runs without `--out`).
+fn write_out(path: Option<&str>, json: &str) {
+    if let Some(path) = path {
+        write_report(path, json);
+    }
+}
+
 /// Per-zone metrics table (satellite: zone-labelled engine/room gauges
 /// rolled up in the bench summary).
 fn print_zone_table(c: &ClusterCityStats) {
@@ -262,7 +272,7 @@ fn config_json(cfg: &CityConfig) -> String {
 }
 
 fn write_json(
-    path: &str,
+    path: Option<&str>,
     cfg: &CityConfig,
     m: &Measured,
     deterministic: Option<bool>,
@@ -294,8 +304,7 @@ fn write_json(
         m.events_per_sec,
         m.bytes_per_sec,
     );
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
+    write_out(path, &json);
 }
 
 /// One measured scaling point, harvested from a child process's
@@ -360,7 +369,7 @@ fn bench_child(workload: &[String], extra: &[&str]) -> Point {
     let output = std::process::Command::new(&exe)
         .args(workload)
         .args(extra)
-        .args(["--metrics", "--runs", "1", "--out", "/dev/null"])
+        .args(["--metrics", "--runs", "1"])
         .stderr(std::process::Stdio::null())
         .output()
         .unwrap_or_else(|e| fail(&format!("spawn child bench: {e}")));
@@ -380,7 +389,7 @@ fn bench_child(workload: &[String], extra: &[&str]) -> Point {
 
 #[allow(clippy::too_many_arguments)]
 fn write_scaling_json(
-    path: &str,
+    path: Option<&str>,
     cfg: &CityConfig,
     baseline: &Point,
     curve: &[(usize, Point)],
@@ -434,15 +443,14 @@ fn write_scaling_json(
         rounds_reduction,
         entries.join(",\n"),
     );
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
+    write_out(path, &json);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut metrics = false;
-    let mut out = "BENCH_scale.json".to_string();
+    let mut out: Option<String> = None;
     let mut telemetry_jsonl: Option<String> = None;
     let mut report: Option<String> = None;
     let mut seed = 7u64;
@@ -473,7 +481,7 @@ fn main() {
         match args[i].as_str() {
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
-            "--out" => out = take(&args, &mut i, "--out"),
+            "--out" => out = Some(take(&args, &mut i, "--out")),
             "--telemetry-jsonl" => telemetry_jsonl = Some(take(&args, &mut i, "--telemetry-jsonl")),
             "--report" => report = Some(take(&args, &mut i, "--report")),
             "--seed" => seed = num(&take(&args, &mut i, "--seed"), "--seed"),
@@ -501,6 +509,12 @@ fn main() {
         }
         i += 1;
     }
+
+    // The committed city_10k artifact belongs to the plain default run; a
+    // smoke run or an A/B invocation writes only where `--out` says.
+    let ab = metrics || args.iter().any(|a| a == "--runs");
+    let out = out.or_else(|| (!smoke && !ab).then(|| "BENCH_scale.json".to_string()));
+    let out = out.as_deref();
 
     // Validate everything up front — fail fast, before any schedule work
     // or output. No silent clamping: a flag outside its domain is an
@@ -644,7 +658,7 @@ fn main() {
                 workload.push(v);
             }
         }
-        run_scaling(&cfg, &workload, &list, cap, runs, metrics, &out);
+        run_scaling(&cfg, &workload, &list, cap, runs, metrics, out);
         return;
     }
 
@@ -657,7 +671,7 @@ fn main() {
             runs,
             smoke,
             metrics,
-            &out,
+            out,
             report.as_deref(),
         );
         return;
@@ -728,7 +742,7 @@ fn main() {
             cfg.rooms, m.stats.joins_ok, cfg.nodes, runs
         )
     };
-    write_json(&out, &cfg, &m, deterministic, "", &notes);
+    write_json(out, &cfg, &m, deterministic, "", &notes);
 }
 
 /// `--zones Z`: one cluster point, with the per-zone rollup table.
@@ -741,7 +755,7 @@ fn run_cluster_mode(
     runs: u32,
     smoke: bool,
     metrics: bool,
-    out: &str,
+    out: Option<&str>,
     report: Option<&str>,
 ) {
     let (m, deterministic) = if smoke {
@@ -904,7 +918,7 @@ fn run_scaling(
     cap: usize,
     runs: u32,
     metrics: bool,
-    out: &str,
+    out: Option<&str>,
 ) {
     let mut baseline: Option<Point> = None;
     let mut classic_w1: Option<Point> = None;

@@ -98,6 +98,18 @@ pub fn run_city_schedule(
     schedule: CitySchedule,
     telemetry_capacity: Option<usize>,
 ) -> (CityStats, Engine, cm_obs::Obs) {
+    let (stats, platform, obs) = run_city_world(cfg, schedule, telemetry_capacity);
+    (stats, platform.engine().clone(), obs)
+}
+
+/// As [`run_city_schedule`], but hands back the whole drained world —
+/// every node of `platform.network()` carries an entity — so a caller can
+/// check what the replay left behind.
+pub fn run_city_world(
+    cfg: &CityConfig,
+    schedule: CitySchedule,
+    telemetry_capacity: Option<usize>,
+) -> (CityStats, Platform, cm_obs::Obs) {
     let engine = Engine::new();
     let obs = cm_obs::Obs::disabled();
     if let Some(cap) = telemetry_capacity {
@@ -154,7 +166,7 @@ pub fn run_city_schedule(
         events_executed: engine.executed(),
         sim_ms: engine.now().as_micros() / 1_000,
     };
-    (stats, engine, obs)
+    (stats, platform, obs)
 }
 
 /// Schedule the batch of events starting at `idx` (all sharing one fire

@@ -387,20 +387,6 @@ impl Obs {
         }
     }
 
-    /// The local origin time of an open span, if still tracked. Used by
-    /// cross-zone relays to stamp the home write time onto wide-area
-    /// envelopes.
-    pub fn origin_of(&self, stream: u64, seq: u64) -> Option<u64> {
-        if !self.enabled() {
-            return None;
-        }
-        self.inner
-            .open
-            .borrow()
-            .get(&(stream, seq))
-            .map(|r| r.e2e_origin_us)
-    }
-
     /// Stage relay provenance for the *next* mint on `stream`: the guest
     /// zone's re-publish consumes it so the mirrored span keeps the home
     /// origin and charges the whole upstream leg to
@@ -829,8 +815,9 @@ mod tests {
             o.mint(1, seq, seq);
         }
         assert_eq!(o.abandoned(), 2);
-        assert!(o.origin_of(1, 0).is_none());
-        assert!(o.origin_of(1, 5).is_some());
+        let open = o.inner.open.borrow();
+        assert!(!open.contains_key(&(1, 0)));
+        assert!(open.contains_key(&(1, 5)));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use cm_core::time::{Bandwidth, SimDuration, SimTime};
 use cm_platform::Platform;
 use cm_session::{HealthEvent, JoinDenied, PeerId, Room, RoomMember, Session};
 use cm_telemetry::Value;
-use cm_testkit::FaultPlan;
+use cm_testkit::{world_leftovers, FaultPlan};
 use cm_transport::EntityConfig;
 use netsim::{Engine, LinkParams, Network, NodeClock};
 use std::cell::RefCell;
@@ -60,7 +60,6 @@ impl RoomMember for Rec {
 
 struct World {
     net: Network,
-    #[allow(dead_code)]
     platform: Platform,
     session: Session,
     nodes: Vec<NetAddr>,
@@ -282,6 +281,16 @@ fn seeded_chaos_storm_recovers_clean() {
         );
         assert_eq!(rec.lost(), 0, "student{i} saw a phantom eviction");
     }
+
+    // Teardown frees the world: once everyone has left (listeners first,
+    // the publisher and its stream last) the storm has left nothing
+    // behind — no VC state on any node, no reservation, no armed timer.
+    for (id, _, _) in room.peers().into_iter().rev() {
+        room.leave(id);
+    }
+    w.net.engine().run_for(SimDuration::from_secs(2));
+    let services = w.nodes.iter().map(|&n| w.platform.service(n));
+    assert_eq!(world_leftovers(&w.net, services), Vec::<String>::new());
 }
 
 // ---------------------------------------------------------------------

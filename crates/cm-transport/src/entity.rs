@@ -25,7 +25,7 @@ use crate::rate::RateClock;
 use crate::receiver::{SinkAction, SinkEngine};
 use crate::service::{EgressTap, EntityConfig, TransportService, TransportUser, VcTap};
 use crate::tpdu::{fragment_sizes, ControlMsg, DataTpdu, QosReport, CONTROL_WIRE_SIZE};
-use crate::vc::{EndStats, SinkEnd, SourceEnd, Vc, VcPhase, VcRole};
+use crate::vc::{EndStats, SinkEnd, SourceEnd, Vc, VcRole};
 use crate::window::{GoBackNReceiver, GoBackNSender};
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
@@ -95,10 +95,12 @@ pub(crate) struct VcEntry {
     pub(crate) heal: Option<crate::heal::HealState>,
 }
 
-/// Slab-indexed VC store. The id→handle map is consulted once per event
-/// at the demultiplex point (packet arrival, service call); timers and
-/// hot loops then address the slab directly through generation-tagged
-/// handles. The map-keyed accessors keep the cold call sites unchanged.
+/// Slab-indexed store of the *open* VC endpoints. The id→handle map is
+/// consulted once per event at the demultiplex point (packet arrival,
+/// service call); timers and hot loops then address the slab directly
+/// through generation-tagged handles. Release removes the entry, so a
+/// handle or id that outlives its VC resolves to `None`. The map-keyed
+/// accessors keep the cold call sites unchanged.
 pub(crate) struct VcTable {
     slots: Slab<VcEntry>,
     by_id: FastMap<VcId, SlabHandle>,
@@ -142,9 +144,7 @@ impl VcTable {
     /// wire-global and never reused, so a duplicate insert replaces the
     /// whole entry.
     pub(crate) fn insert(&mut self, vc: VcId, v: Vc) -> SlabHandle {
-        if let Some(h) = self.resolve(vc) {
-            self.slots.remove(h);
-        }
+        self.remove(vc);
         let h = self.slots.insert(VcEntry {
             vc: v,
             tap: None,
@@ -153,6 +153,19 @@ impl VcTable {
         });
         self.by_id.insert(vc, h);
         h
+    }
+
+    /// Release `vc`'s endpoint: the slot returns to the free list with
+    /// its generation bumped. Dropping the returned entry cancels the
+    /// VC's timers and drops its buffers, taps and healing state.
+    fn remove(&mut self, vc: VcId) -> Option<VcEntry> {
+        let h = self.by_id.remove(&vc)?;
+        self.slots.remove(h)
+    }
+
+    /// Open endpoints held.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 
     pub(crate) fn tap(&self, vc: &VcId) -> Option<Rc<dyn VcTap>> {
@@ -213,12 +226,6 @@ impl VcTable {
             e.heal = Some(hs);
         }
     }
-
-    pub(crate) fn remove_heal(&mut self, vc: &VcId) {
-        if let Some(e) = self.resolve(*vc).and_then(|h| self.slots.get_mut(h)) {
-            e.heal = None;
-        }
-    }
 }
 
 pub(crate) struct State {
@@ -229,7 +236,7 @@ pub(crate) struct State {
     pending_remote: FastMap<VcId, PendingRemote>,
     /// Remote-connect triples remembered at the initiator for later
     /// remote release.
-    initiated: FastMap<VcId, AddressTriple>,
+    pub(crate) initiated: FastMap<VcId, AddressTriple>,
     next_vc: u64,
 }
 
@@ -562,10 +569,7 @@ impl TransportEntity {
         // remote initiator, if any — §3.5: responses go to both).
         let info = {
             let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .filter(|v| v.phase != VcPhase::Closed)
-                .map(|v| (v.peer_node, v.triple))
+            st.vcs.get(&vc).map(|v| (v.peer_node, v.triple))
         };
         if let Some((peer, triple)) = info {
             self.teardown_local(vc, reason.clone(), false);
@@ -623,11 +627,7 @@ impl TransportEntity {
         }
         let peer = {
             let st = self.state.borrow();
-            let v = st.vcs.get(&vc).ok_or(ServiceError::UnknownVc)?;
-            if v.phase != VcPhase::Open {
-                return Err(ServiceError::WrongState("renegotiate on non-open VC"));
-            }
-            v.peer_node
+            st.vcs.get(&vc).ok_or(ServiceError::UnknownVc)?.peer_node
         };
         self.send_control(peer, ControlMsg::RenegotiateRequest { vc, new_tolerance });
         Ok(())
@@ -800,7 +800,6 @@ impl TransportEntity {
             role: VcRole::Sink,
             peer_node: p.triple.source.node,
             local_tsap: p.triple.destination.tsap,
-            phase: VcPhase::Open,
             source: None,
             sink: Some(sink),
             group: None,
@@ -866,7 +865,6 @@ impl TransportEntity {
             role: VcRole::Source,
             peer_node: p.triple.destination.node,
             local_tsap: p.triple.source.tsap,
-            phase: VcPhase::Open,
             source: Some(source),
             sink: None,
             group: None,
@@ -893,58 +891,28 @@ impl TransportEntity {
         }
     }
 
+    /// Release the local end of `vc`. The entry leaves the table: its
+    /// timers are cancelled and its buffers, taps and healing state
+    /// dropped with it, and every handle still held by a timer closure,
+    /// a parked waker or a late message resolves to `None` from here on.
     pub(crate) fn teardown_local(
         self: &Rc<Self>,
         vc: VcId,
         reason: DisconnectReason,
         indicate: bool,
     ) {
-        let tsap = {
+        let closed = {
             let mut st = self.state.borrow_mut();
-            let entry = st.vcs.resolve(vc).and_then(|h| st.vcs.at_mut(h));
-            match entry {
-                Some(e) => {
-                    e.tap = None;
-                    e.egress = None;
-                    e.heal = None;
-                    let v = &mut e.vc;
-                    if v.phase == VcPhase::Closed {
-                        None
-                    } else {
-                        v.phase = VcPhase::Closed;
-                        // Closed entries stay in the table so late control
-                        // messages resolve (and are ignored by phase
-                        // checks), but they shed everything heavy: timers
-                        // give their engine slots and boxed closures back,
-                        // and the caches that scale with traffic are
-                        // dropped. At city scale this is the difference
-                        // between memory tracking *live* VCs and memory
-                        // tracking *every VC that ever existed*.
-                        if let Some(s) = &mut v.source {
-                            s.tick_timer = None;
-                            s.rto_timer = None;
-                            s.gbn = None;
-                            s.pending_frags = std::collections::VecDeque::new();
-                            s.retrans_cache = std::collections::VecDeque::new();
-                        }
-                        if let Some(k) = &mut v.sink {
-                            k.monitor_timer = None;
-                            k.monitor = None;
-                            k.pending_delivery = std::collections::VecDeque::new();
-                        }
-                        Some(v.local_tsap)
-                    }
-                }
-                None => None,
-            }
+            // At a remote initiator the release notice retires the record
+            // kept for remote release.
+            st.initiated.remove(&vc);
+            st.vcs.remove(vc)
         };
         self.net.release_reservation(vc);
-        if indicate {
-            if let Some(tsap) = tsap {
-                self.to_user(tsap, move |svc, u| {
-                    u.t_disconnect_indication(svc, vc, reason)
-                });
-            }
+        if let (true, Some(e)) = (indicate, closed) {
+            self.to_user(e.vc.local_tsap, move |svc, u| {
+                u.t_disconnect_indication(svc, vc, reason)
+            });
         }
     }
 
@@ -1061,19 +1029,18 @@ impl TransportEntity {
                     self.group_member_left(vc, from, reason);
                     return;
                 }
-                if let Some(to_notify) = notify {
+                if notify.is_some() {
                     // Remote release request: indication only; the user
-                    // decides whether to actually release (§4.1.1).
+                    // decides whether to actually release (§4.1.1). A VC
+                    // already released is not indicated again.
                     let tsap = {
                         let st = self.state.borrow();
                         st.vcs.get(&vc).map(|v| v.local_tsap)
                     };
                     if let Some(tsap) = tsap {
-                        let r = reason.clone();
-                        self.to_user(tsap, move |svc, u| u.t_disconnect_indication(svc, vc, r));
-                    } else {
-                        // VC unknown: report back to the requester.
-                        let _ = to_notify;
+                        self.to_user(tsap, move |svc, u| {
+                            u.t_disconnect_indication(svc, vc, reason)
+                        });
                     }
                 } else {
                     self.teardown_local(vc, reason, true);
@@ -1083,11 +1050,11 @@ impl TransportEntity {
                 let tsap = {
                     let mut st = self.state.borrow_mut();
                     match st.vcs.get_mut(&vc) {
-                        Some(v) if v.phase == VcPhase::Open => {
+                        Some(v) => {
                             *v.pending_renegotiation() = Some(new_tolerance);
                             Some(v.local_tsap)
                         }
-                        _ => None,
+                        None => None,
                     }
                 };
                 if let Some(tsap) = tsap {
@@ -1451,9 +1418,6 @@ impl TransportEntity {
         let next = {
             let mut st = self.state.borrow_mut();
             let Some(e) = st.vcs.at_mut(h) else { return };
-            if e.vc.phase != VcPhase::Open {
-                return;
-            }
             let vc = e.vc.id;
             let s = e.vc.source.as_mut().expect("source end on tick");
             match s.clock.next_due() {
@@ -1778,11 +1742,6 @@ impl TransportEntity {
             let step = {
                 let mut st = self.state.borrow_mut();
                 let Some(v) = st.vcs.get_mut(&vc) else { return };
-                if v.phase != VcPhase::Open {
-                    return;
-                }
-                let peer = v.peer_node;
-                let _ = peer;
                 let s = v.source.as_mut().expect("source end");
                 let gbn = s.gbn.as_mut().expect("window sender");
                 if !gbn.can_send() {
@@ -1989,9 +1948,6 @@ impl TransportEntity {
             let mut st = self.state.borrow_mut();
             let Some(e) = st.vcs.at_mut(h) else { return };
             let v = &mut e.vc;
-            if v.phase != VcPhase::Open {
-                return;
-            }
             let vc = v.id;
             let s = v.source.as_mut().expect("source end");
             let gbn = s.gbn.as_mut().expect("window sender");
@@ -2110,9 +2066,6 @@ impl TransportEntity {
         let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
         let Some(e) = st.vcs.at_mut(h) else { return };
-        if e.vc.phase != VcPhase::Open {
-            return;
-        }
         let Some(k) = e.vc.sink.as_mut() else { return };
         let lost_before = k.engine.lost;
         let corrupted_before = k.engine.corrupted;
@@ -2371,9 +2324,6 @@ impl TransportEntity {
             let mut st = self.state.borrow_mut();
             let Some(e) = st.vcs.at_mut(h) else { return };
             let v = &mut e.vc;
-            if v.phase != VcPhase::Open {
-                return;
-            }
             let vc = v.id;
             let contract = v.contract;
             let peer = v.peer_node;
@@ -2451,9 +2401,6 @@ impl TransportEntity {
         let v = &mut e.vc;
         if v.role != VcRole::Source {
             return Err(ServiceError::WrongState("write on sink end"));
-        }
-        if v.phase != VcPhase::Open {
-            return Err(ServiceError::WrongState("write on non-open VC"));
         }
         if payload.len() > v.requirement.max_osdu_size {
             return Err(ServiceError::BadArgument("OSDU exceeds max_osdu_size"));
@@ -2648,12 +2595,8 @@ impl TransportEntity {
         vc: VcId,
         payload: Rc<dyn Any>,
     ) -> Result<(), ServiceError> {
-        {
-            let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .filter(|v| v.phase == VcPhase::Open)
-                .ok_or(ServiceError::UnknownVc)?;
+        if self.state.borrow().vcs.resolve(vc).is_none() {
+            return Err(ServiceError::UnknownVc);
         }
         // On a group VC this fans the OPDU out to every member over the
         // shared tree — the session layer's room-wide control channel.

@@ -23,7 +23,7 @@
 
 use crate::entity::TransportEntity;
 use crate::tpdu::ControlMsg;
-use crate::vc::{SourceEnd, Vc, VcPhase, VcRole};
+use crate::vc::{SourceEnd, Vc, VcRole};
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
 use cm_core::qos::{GuaranteeMode, QosParams, QosRequirement};
@@ -145,7 +145,6 @@ impl TransportEntity {
             role: VcRole::Source,
             peer_node: self.node,
             local_tsap: tsap,
-            phase: VcPhase::Open,
             source: Some(source),
             sink: None,
             group: Some(GroupEnd {
@@ -185,9 +184,6 @@ impl TransportEntity {
         let (group, class, requirement, local_tsap, start_seq) = {
             let st = self.state.borrow();
             let v = st.vcs.get(&vc).ok_or(ServiceError::UnknownVc)?;
-            if v.phase != VcPhase::Open {
-                return Err(ServiceError::WrongState("group VC not open"));
-            }
             let ge = v
                 .group
                 .as_ref()
@@ -439,9 +435,6 @@ impl TransportEntity {
         let resume = {
             let mut st = self.state.borrow_mut();
             let Some(v) = st.vcs.get_mut(&vc) else { return };
-            if v.phase != VcPhase::Open {
-                return;
-            }
             let preferred = v.requirement.tolerance.preferred;
             let Some(ge) = v.group.as_ref() else { return };
             let contract = ge

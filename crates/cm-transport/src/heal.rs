@@ -47,7 +47,6 @@
 
 use crate::entity::TransportEntity;
 use crate::tpdu::ControlMsg;
-use crate::vc::VcPhase;
 use cm_core::address::{NetAddr, VcId};
 use cm_core::error::DisconnectReason;
 use cm_core::osdu::Osdu;
@@ -85,8 +84,8 @@ impl HealReason {
 /// Per-VC healing state. Lives in the VC's slab entry for the life of
 /// the VC (episodes come and go; the lifetime counters persist).
 pub(crate) struct HealState {
-    /// Probe timer (holds a `Weak` back-reference; post-teardown fires
-    /// are no-ops).
+    /// Probe timer (holds a `Weak` back-reference; cancelled when the
+    /// entry is released).
     timer: PeriodicTimer,
     /// An episode is open: the timer is armed or a probe is imminent.
     active: bool,
@@ -122,8 +121,7 @@ impl TransportEntity {
         let now = self.now();
         {
             let st = self.state.borrow();
-            let Some(v) = st.vcs.get(&vc) else { return };
-            if v.phase != VcPhase::Open || v.source.is_none() {
+            if st.vcs.get(&vc).and_then(|v| v.source.as_ref()).is_none() {
                 return;
             }
         }
@@ -197,7 +195,6 @@ impl TransportEntity {
             return;
         }
         enum Probe {
-            Gone,
             Unicast {
                 peer: NetAddr,
                 needs_resv: bool,
@@ -212,31 +209,26 @@ impl TransportEntity {
         }
         let probe = {
             let st = self.state.borrow();
-            match st.vcs.get(&vc) {
-                Some(v) if v.phase == VcPhase::Open && v.source.is_some() => {
-                    let s = v.source.as_ref().expect("source end");
-                    let stalled = s.stalled_credit;
-                    match &v.group {
-                        Some(ge) => Probe::Group {
-                            group: ge.group,
-                            stalled,
-                        },
-                        None => Probe::Unicast {
-                            peer: v.peer_node,
-                            needs_resv: v.requirement.guarantee != GuaranteeMode::BestEffort,
-                            bandwidth: v.contract.throughput,
-                            stalled,
-                            window: s.gbn.is_some(),
-                        },
-                    }
-                }
-                _ => Probe::Gone,
+            // The probe timer lives in the entry: a released VC never
+            // gets here, and only source ends are ever kicked.
+            let Some(v) = st.vcs.get(&vc) else { return };
+            let Some(s) = v.source.as_ref() else { return };
+            let stalled = s.stalled_credit;
+            match &v.group {
+                Some(ge) => Probe::Group {
+                    group: ge.group,
+                    stalled,
+                },
+                None => Probe::Unicast {
+                    peer: v.peer_node,
+                    needs_resv: v.requirement.guarantee != GuaranteeMode::BestEffort,
+                    bandwidth: v.contract.throughput,
+                    stalled,
+                    window: s.gbn.is_some(),
+                },
             }
         };
         match probe {
-            Probe::Gone => {
-                self.state.borrow_mut().vcs.remove_heal(&vc);
-            }
             Probe::Unicast {
                 peer,
                 needs_resv,
@@ -537,13 +529,7 @@ impl TransportEntity {
     fn unstick_source(self: &Rc<Self>, vc: VcId) -> bool {
         let plan = {
             let st = self.state.borrow();
-            let Some(v) = st.vcs.get(&vc) else {
-                return false;
-            };
-            if v.phase != VcPhase::Open {
-                return false;
-            }
-            let Some(s) = v.source.as_ref() else {
+            let Some(s) = st.vcs.get(&vc).and_then(|v| v.source.as_ref()) else {
                 return false;
             };
             // The window profile recovers through go-back-N itself.

@@ -603,10 +603,92 @@ impl TransportService {
 
     /// Whether the VC is open at this end.
     pub fn is_open(&self, vc: VcId) -> bool {
+        self.entity.state.borrow().vcs.resolve(vc).is_some()
+    }
+
+    /// VCs this entity currently holds state for: open endpoints plus,
+    /// at a remote initiator, the VCs it set up between other nodes.
+    /// Release reclaims both, so this tracks the live set, not history.
+    pub fn live_vcs(&self) -> usize {
         let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .map(|v| v.phase == crate::vc::VcPhase::Open)
-            .unwrap_or(false)
+        st.vcs.len() + st.initiated.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cm_core::media::MediaProfile;
+    use cm_core::time::{Bandwidth, SimDuration};
+    use netsim::{two_node, Engine, LinkParams};
+
+    struct Accept;
+
+    impl TransportUser for Accept {
+        fn t_connect_indication(
+            &self,
+            svc: &TransportService,
+            vc: VcId,
+            _triple: AddressTriple,
+            _class: ServiceClass,
+            _qos: QosRequirement,
+        ) {
+            svc.t_connect_response(vc, true).expect("respond");
+        }
+    }
+
+    /// A slab handle captured while a VC was open (as its timers and
+    /// parked wakers do) must resolve to nothing once the VC is released
+    /// — also after the slot has been handed to a new VC.
+    #[test]
+    fn stale_handle_resolves_to_none_after_slot_reuse() {
+        let params = LinkParams::clean(Bandwidth::mbps(10), SimDuration::from_millis(1));
+        let (net, a, b) = two_node(Engine::new(), params, 42);
+        let svc_a = TransportService::install(&net, a, EntityConfig::default());
+        let svc_b = TransportService::install(&net, b, EntityConfig::default());
+        svc_a.bind(Tsap(1), Rc::new(Accept)).expect("bind a");
+        svc_b.bind(Tsap(2), Rc::new(Accept)).expect("bind b");
+        let triple = AddressTriple::conventional(
+            TransportAddr {
+                node: a,
+                tsap: Tsap(1),
+            },
+            TransportAddr {
+                node: b,
+                tsap: Tsap(2),
+            },
+        );
+        let open = || {
+            let req = MediaProfile::audio_telephone().requirement();
+            let vc = svc_a
+                .t_connect_request(triple, ServiceClass::cm_default(), req)
+                .expect("request");
+            net.engine().run_for(SimDuration::from_millis(50));
+            let h = svc_a.entity.state.borrow().vcs.resolve(vc);
+            (vc, h.expect("VC open at the source"))
+        };
+        let (vc1, h1) = open();
+        svc_a.t_disconnect_request(vc1).expect("disconnect");
+        net.engine().run_for(SimDuration::from_millis(50));
+        assert!(svc_a.entity.state.borrow().vcs.at(h1).is_none());
+
+        let (vc2, h2) = open();
+        assert_eq!(h2.index(), h1.index(), "the freed slot is reused");
+        {
+            let st = svc_a.entity.state.borrow();
+            assert!(st.vcs.at(h1).is_none(), "stale handle aliases the new VC");
+            assert_eq!(st.vcs.at(h2).map(|e| e.vc.id), Some(vc2));
+        }
+        // What a late timer fire or buffer wake of the old VC would run.
+        svc_a
+            .write_osdu(vc2, Payload::synthetic(0, 80), None)
+            .expect("write");
+        svc_a.entity.source_tick_h(h1);
+        svc_a.entity.rto_fire_h(h1);
+        assert_eq!(
+            svc_a.source_progress(vc2),
+            Ok((0, 0, 1)),
+            "nothing sent for vc2"
+        );
     }
 }

@@ -59,7 +59,8 @@ pub struct SourceEnd {
     /// Pacing-tick timer; each re-arm implicitly drops the previous
     /// deadline (one boxed closure while the VC is live). Attached after
     /// the entry is inserted so the closure can capture the slab handle;
-    /// set back to `None` at teardown, which frees the engine's timer slot.
+    /// dropped with the entry at teardown, which frees the engine's timer
+    /// slot.
     pub tick_timer: Option<PeriodicTimer>,
     /// Window RTO timer (same attach/teardown lifecycle as `tick_timer`).
     pub rto_timer: Option<PeriodicTimer>,
@@ -124,18 +125,10 @@ impl SinkEnd {
     }
 }
 
-/// The lifecycle of a VC endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VcPhase {
-    /// Handshake in progress.
-    Connecting,
-    /// Data may flow.
-    Open,
-    /// Torn down (kept briefly for late-message tolerance).
-    Closed,
-}
-
-/// One VC endpoint.
+/// One open VC endpoint. An entity holds a `Vc` from the moment the
+/// handshake completes until release: connects in progress live in the
+/// entity's pending maps, and a released VC is removed outright, so
+/// "in the table" *means* open.
 pub struct Vc {
     /// Connection id (allocated by the initiating entity).
     pub id: VcId,
@@ -153,8 +146,6 @@ pub struct Vc {
     pub peer_node: NetAddr,
     /// The local user's TSAP (for indications).
     pub local_tsap: Tsap,
-    /// Lifecycle phase.
-    pub phase: VcPhase,
     /// Source-end machinery (when `role == Source`).
     pub source: Option<SourceEnd>,
     /// Sink-end machinery (when `role == Sink`).

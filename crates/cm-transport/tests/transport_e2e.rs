@@ -348,41 +348,42 @@ fn admission_control_denies_when_reserved_out() {
     assert!(!confirms[1].1, "second connect should be refused");
 }
 
-#[test]
-fn remote_connect_follows_figure_3() {
-    // Three nodes: initiator on c, source on a, sink on b.
-    let engine = Engine::new();
-    let net = Network::new(engine);
+/// Three fully meshed nodes for remote connects (§3.5): the source user
+/// on `a`, the sink user on `b`, the initiator on `c`. Returns the
+/// services and users in that order plus the matching triple.
+fn three_party() -> (
+    Network,
+    [TransportService; 3],
+    [Rc<TestUser>; 3],
+    AddressTriple,
+) {
+    let net = Network::new(Engine::new());
     let mut rng = cm_core::rng::DetRng::from_seed(7);
-    let a = net.add_node(NodeClock::perfect());
-    let b = net.add_node(NodeClock::perfect());
-    let c = net.add_node(NodeClock::perfect());
+    let nodes = [(); 3].map(|_| net.add_node(NodeClock::perfect()));
+    let [a, b, c] = nodes;
     let p = clean_params();
     net.add_duplex(a, b, p.clone(), &mut rng);
     net.add_duplex(b, c, p.clone(), &mut rng);
     net.add_duplex(a, c, p, &mut rng);
-    let svc_a = TransportService::install(&net, a, EntityConfig::default());
-    let svc_b = TransportService::install(&net, b, EntityConfig::default());
-    let svc_c = TransportService::install(&net, c, EntityConfig::default());
-    let (ua, ub, uc) = (TestUser::new(), TestUser::new(), TestUser::new());
-    svc_a.bind(Tsap(1), ua.clone()).expect("bind");
-    svc_b.bind(Tsap(2), ub.clone()).expect("bind");
-    svc_c.bind(Tsap(3), uc.clone()).expect("bind");
+    let svcs = nodes.map(|n| TransportService::install(&net, n, EntityConfig::default()));
+    let users = [(); 3].map(|_| TestUser::new());
+    let addrs: Vec<TransportAddr> = (0..3)
+        .map(|i| {
+            let tsap = Tsap(i as u16 + 1);
+            svcs[i].bind(tsap, users[i].clone()).expect("bind");
+            TransportAddr {
+                node: nodes[i],
+                tsap,
+            }
+        })
+        .collect();
+    let triple = AddressTriple::remote(addrs[2], addrs[0], addrs[1]);
+    (net, svcs, users, triple)
+}
 
-    let triple = AddressTriple::remote(
-        TransportAddr {
-            node: c,
-            tsap: Tsap(3),
-        },
-        TransportAddr {
-            node: a,
-            tsap: Tsap(1),
-        },
-        TransportAddr {
-            node: b,
-            tsap: Tsap(2),
-        },
-    );
+#[test]
+fn remote_connect_follows_figure_3() {
+    let (net, [svc_a, svc_b, svc_c], [ua, ub, uc], triple) = three_party();
     let vc = svc_c
         .t_connect_request(triple, ServiceClass::cm_default(), telephone_req())
         .expect("remote request");
@@ -402,38 +403,8 @@ fn remote_connect_follows_figure_3() {
 
 #[test]
 fn remote_connect_rejected_by_source_user() {
-    let engine = Engine::new();
-    let net = Network::new(engine);
-    let mut rng = cm_core::rng::DetRng::from_seed(7);
-    let a = net.add_node(NodeClock::perfect());
-    let b = net.add_node(NodeClock::perfect());
-    let c = net.add_node(NodeClock::perfect());
-    let p = clean_params();
-    net.add_duplex(a, b, p.clone(), &mut rng);
-    net.add_duplex(b, c, p.clone(), &mut rng);
-    net.add_duplex(a, c, p, &mut rng);
-    let svc_a = TransportService::install(&net, a, EntityConfig::default());
-    let _svc_b = TransportService::install(&net, b, EntityConfig::default());
-    let svc_c = TransportService::install(&net, c, EntityConfig::default());
-    let (ua, uc) = (TestUser::new(), TestUser::new());
+    let (net, [_svc_a, _svc_b, svc_c], [ua, _ub, uc], triple) = three_party();
     ua.accept_connect.set(false);
-    svc_a.bind(Tsap(1), ua.clone()).expect("bind");
-    svc_c.bind(Tsap(3), uc.clone()).expect("bind");
-
-    let triple = AddressTriple::remote(
-        TransportAddr {
-            node: c,
-            tsap: Tsap(3),
-        },
-        TransportAddr {
-            node: a,
-            tsap: Tsap(1),
-        },
-        TransportAddr {
-            node: b,
-            tsap: Tsap(2),
-        },
-    );
     let vc = svc_c
         .t_connect_request(triple, ServiceClass::cm_default(), telephone_req())
         .expect("remote request");
@@ -462,6 +433,43 @@ fn disconnect_indicates_at_peer_and_releases_resources() {
         .borrow()
         .iter()
         .any(|e| matches!(e, Ev::Disconnect(v, _) if *v == vc)));
+}
+
+#[test]
+fn release_reclaims_the_vc_at_both_ends_and_the_remote_initiator() {
+    // T-Disconnect hands everything back (§4.1.1): once the release has
+    // propagated, no party holds state for the VC any more.
+    let (net, svcs, users, triple) = three_party();
+    let before = svcs.each_ref().map(|s| s.live_vcs());
+    let vc = svcs[2]
+        .t_connect_request(triple, ServiceClass::cm_default(), telephone_req())
+        .expect("remote request");
+    net.engine().run_for(SimDuration::from_millis(100));
+    let open = svcs.each_ref().map(|s| s.live_vcs());
+    assert_eq!(open, before.map(|n| n + 1), "source, sink, initiator");
+    drive_writer(svcs[0].clone(), vc, 20, 80);
+    net.engine().run_for(SimDuration::from_millis(200));
+
+    svcs[1].t_disconnect_request(vc).expect("sink releases");
+    net.engine().run_for(SimDuration::from_millis(100));
+    assert_eq!(svcs.each_ref().map(|s| s.live_vcs()), before);
+    assert_eq!(net.reservation_count(), 0);
+    // The released id is unknown everywhere — to the initiator too.
+    for s in &svcs {
+        assert!(!s.is_open(vc));
+        assert_eq!(
+            s.t_disconnect_request(vc),
+            Err(cm_core::error::ServiceError::UnknownVc)
+        );
+    }
+    assert!(users[0]
+        .events
+        .borrow()
+        .iter()
+        .any(|e| matches!(e, Ev::Disconnect(v, _) if *v == vc)));
+    // Nothing of the VC is left running: timers died with the entries.
+    net.engine().run_for(SimDuration::from_secs(1));
+    assert_eq!(net.engine().pending(), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -8,17 +8,19 @@
 //! with structurally well-formed but semantically adversarial control
 //! messages and data fragments — unknown VCs, replayed credits, bogus
 //! acks, reordered feedback — and require the entity to keep serving its
-//! open connection.
+//! open connection, and to stay silent about a connection it has released.
 
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::DisconnectReason;
 use cm_core::media::MediaProfile;
 use cm_core::osdu::{Opdu, Payload};
-use cm_core::qos::{QosParams, QosRequirement};
+use cm_core::qos::{QosParams, QosRequirement, QosViolation};
 use cm_core::service_class::ServiceClass;
 use cm_core::time::{Bandwidth, SimDuration, SimTime};
 use cm_transport::tpdu::{ControlMsg, DataTpdu, TPDU_HEADER};
-use cm_transport::{EntityConfig, TpduHeader, TpduParseError, TransportService, TransportUser};
+use cm_transport::{
+    EntityConfig, QosReport, TpduHeader, TpduParseError, TransportService, TransportUser,
+};
 use netsim::{two_node, Engine, LinkParams};
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -185,10 +187,24 @@ fn storm_world() -> StormWorld {
     }
 }
 
-/// Map a generated op onto a control message. `x`/`y` supply the
-/// adversarial numeric payloads; the VC alternates between the open one
-/// and an arbitrary (usually unknown) id.
+/// Number of message shapes [`storm_msg`] draws from.
+const STORM_KINDS: u8 = 17;
+
+/// Map a generated op onto a control message: every variant that
+/// addresses an existing VC, success and failure arms alike. (The three
+/// connect *requests* open a connection under whatever id they carry, and
+/// a datagram addresses a TSAP — neither speaks to an existing VC.)
+/// `x`/`y` supply the adversarial numeric payloads; the VC alternates
+/// between the fixture's and an arbitrary (usually unknown) id.
 fn storm_msg(kind: u8, vc: VcId, x: u64, y: u64) -> ControlMsg {
+    let qos = MediaProfile::audio_telephone()
+        .requirement()
+        .tolerance
+        .preferred;
+    let member = TransportAddr {
+        node: NetAddr((x % 2) as u32),
+        tsap: Tsap(2),
+    };
     match kind {
         0 => ControlMsg::Credit { vc, freed_total: x },
         1 => ControlMsg::CreditProbe { vc },
@@ -209,9 +225,59 @@ fn storm_msg(kind: u8, vc: VcId, x: u64, y: u64) -> ControlMsg {
             vc,
             result: Err(DisconnectReason::RenegotiationRefused),
         },
-        _ => ControlMsg::RemoteConnectReply {
+        7 => ControlMsg::RemoteConnectReply {
             vc,
             result: Err(DisconnectReason::NoSuchTsap),
+        },
+        8 => ControlMsg::ConnectResponse {
+            vc,
+            result: Ok((qos, (x % 64) as u32)),
+        },
+        9 => ControlMsg::RenegotiateResponse {
+            vc,
+            result: Ok(qos),
+        },
+        10 => ControlMsg::RenegotiateRequest {
+            vc,
+            new_tolerance: MediaProfile::audio_telephone().requirement().tolerance,
+        },
+        11 => ControlMsg::GroupConnectResponse {
+            vc,
+            member,
+            result: Ok((qos, (x % 64) as u32)),
+        },
+        12 => ControlMsg::Disconnect {
+            vc,
+            reason: DisconnectReason::UserRelease,
+            notify: None,
+        },
+        13 => ControlMsg::Disconnect {
+            vc,
+            reason: DisconnectReason::UserRelease,
+            notify: Some(member),
+        },
+        14 => ControlMsg::QosReportMsg(QosReport {
+            vc,
+            contracted: qos,
+            // Zero throughput with a violation is the starvation signal
+            // that kicks the healing path.
+            measured: QosParams {
+                throughput: Bandwidth::ZERO,
+                ..qos
+            },
+            sample_period: SimDuration::from_millis(100),
+            violations: vec![QosViolation::Throughput {
+                contracted: qos.throughput,
+                measured: Bandwidth::ZERO,
+            }],
+        }),
+        15 => ControlMsg::UserControl {
+            vc,
+            payload: Rc::new(y),
+        },
+        _ => ControlMsg::RemoteConnectReply {
+            vc,
+            result: Ok(qos),
         },
     }
 }
@@ -222,7 +288,7 @@ proptest! {
     /// entities, and the engine keeps draining to quiescence.
     #[test]
     fn control_storm_never_panics(
-        ops in collection::vec((0u8..8, any::<u64>(), any::<u64>(), any::<bool>(), any::<bool>()), 1..40),
+        ops in collection::vec((0..STORM_KINDS, any::<u64>(), any::<u64>(), any::<bool>(), any::<bool>()), 1..40),
     ) {
         let w = storm_world();
         for (kind, x, y, at_source, known_vc) in ops {
@@ -280,5 +346,42 @@ proptest! {
         }
         w.net.engine().run_for(SimDuration::from_secs(2));
         prop_assert!(w.svc_a.is_open(w.vc) || !w.svc_a.is_open(w.vc)); // reached quiescence
+    }
+
+    /// A released VC is gone at both ends: any control message or data
+    /// fragment still addressed to its id is absorbed in silence. Replies
+    /// travel as packets and indications are dispatched as engine events,
+    /// so "the idle engine stays idle" covers both — and timers too.
+    #[test]
+    fn released_vc_ignores_late_traffic(
+        ops in collection::vec((0..=STORM_KINDS, any::<u64>(), any::<u64>(), any::<bool>(), any::<bool>()), 1..40),
+    ) {
+        let w = storm_world();
+        w.svc_a.t_disconnect_request(w.vc).expect("release");
+        w.net.engine().run_for(SimDuration::from_secs(1));
+        prop_assert_eq!((w.svc_a.live_vcs(), w.svc_b.live_vcs()), (0, 0));
+        prop_assert_eq!(w.net.engine().pending(), 0, "world not quiescent after release");
+        for (kind, x, y, at_source, corrupted) in ops {
+            let (svc, from) = if at_source { (&w.svc_a, w.peer_b) } else { (&w.svc_b, w.peer_a) };
+            if kind == STORM_KINDS {
+                svc.inject_data(
+                    DataTpdu {
+                        vc: w.vc,
+                        osdu_seq: x % 128,
+                        frag_index: 0,
+                        frag_count: 1,
+                        frag_bytes: 80,
+                        opdu: Opdu::default(),
+                        payload: Some(Payload::synthetic(x % 128, 80)),
+                        osdu_sent_at: SimTime::ZERO,
+                    },
+                    corrupted,
+                );
+            } else {
+                svc.inject_control(from, storm_msg(kind, w.vc, x, y));
+            }
+            prop_assert_eq!(w.net.engine().pending(), 0, "kind {} raised a reply or indication", kind);
+            prop_assert_eq!((w.svc_a.live_vcs(), w.svc_b.live_vcs()), (0, 0));
+        }
     }
 }

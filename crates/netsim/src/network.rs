@@ -82,18 +82,31 @@ pub struct GroupRefresh {
     pub links_removed: usize,
 }
 
+/// `forest[v]` = (parent node, link parent→v) on the BFS shortest-path
+/// tree from one root over the elements that were up when it was built.
+/// Immutable and shared by every group that adopted it.
+type Forest = Rc<[Option<(NetAddr, LinkId)>]>;
+
 /// State of one multicast group (see [`crate::multicast`]).
 struct GroupState {
     root: NetAddr,
     /// Bandwidth reserved on every tree link (one rate per tree).
     bandwidth: Bandwidth,
     members: BTreeSet<NetAddr>,
-    /// `parent[v]` = (parent node, link parent→v) on the BFS shortest-path
-    /// tree rooted at `root`, computed once (topology is frozen).
-    parent: Vec<Option<(NetAddr, LinkId)>>,
+    /// The root's forest as of creation or the last `group_refresh` — a
+    /// fault never moves a group's branches under it. Empty once the
+    /// group is released.
+    parent: Forest,
     /// Current immutable snapshot; sends capture it, so membership churn
     /// never affects packets already in flight.
     tree: Rc<GroupTree>,
+}
+
+impl GroupState {
+    /// `v`'s parent edge in the adopted forest (`None`: unreachable).
+    fn parent_of(&self, v: NetAddr) -> Option<(NetAddr, LinkId)> {
+        self.parent.get(v.0 as usize).copied().flatten()
+    }
 }
 
 struct NetworkInner {
@@ -103,6 +116,10 @@ struct NetworkInner {
     adjacency: Vec<Vec<LinkId>>,
     /// `next_hop[from][dst]` = link to take, or `None` (lazily built).
     next_hop: Vec<Option<Vec<Option<LinkId>>>>,
+    /// One multicast forest per root that has created or refreshed a
+    /// group since the last fault transition (lazily built, cleared with
+    /// `next_hop`).
+    forests: BTreeMap<NetAddr, Forest>,
     /// Set the first time routes are computed; `add_link`/`add_node` refuse
     /// afterwards. Kept separately from the `next_hop` caches because fault
     /// transitions clear those to force recomputation around dead elements
@@ -153,6 +170,7 @@ impl NetworkInner {
         for r in &mut self.next_hop {
             *r = None;
         }
+        self.forests.clear();
     }
 
     fn next_hop(&mut self, from: NetAddr, dst: NetAddr) -> Option<LinkId> {
@@ -163,16 +181,25 @@ impl NetworkInner {
         self.next_hop[f].as_ref().expect("routes just built")[dst.0 as usize]
     }
 
-    /// BFS from `root` recording, for every reachable node, the edge it was
-    /// first discovered through. Same deterministic tie-break as unicast
-    /// routing (first-added link wins), so the shared tree is stable.
-    fn build_mcast_parents(&self, root: usize) -> Vec<Option<(NetAddr, LinkId)>> {
+    /// The multicast forest rooted at `root` under the current up/down
+    /// state: BFS from `root` recording, for every reachable node, the
+    /// edge it was first discovered through. Same deterministic tie-break
+    /// as unicast routing (first-added link wins), so the shared tree is
+    /// stable. Built once per root per fault epoch and shared; freezes
+    /// the topology like unicast routing does, so links cannot be added
+    /// under a computed tree.
+    fn forest(&mut self, root: NetAddr) -> Forest {
+        if let Some(f) = self.forests.get(&root) {
+            return f.clone();
+        }
+        self.frozen = true;
         let n = self.nodes.len();
+        let root_ix = root.0 as usize;
         let mut parent: Vec<Option<(NetAddr, LinkId)>> = vec![None; n];
         let mut visited = vec![false; n];
         let mut q = VecDeque::new();
-        visited[root] = true;
-        q.push_back(root);
+        visited[root_ix] = true;
+        q.push_back(root_ix);
         while let Some(u) = q.pop_front() {
             for &lid in &self.adjacency[u] {
                 let ls = &self.links[lid.0 as usize];
@@ -190,7 +217,9 @@ impl NetworkInner {
                 }
             }
         }
-        parent
+        let forest: Forest = parent.into();
+        self.forests.insert(root, forest.clone());
+        forest
     }
 
     /// The links `member`'s branch would add to a tree currently holding
@@ -204,7 +233,7 @@ impl NetworkInner {
         let mut acc = Vec::new();
         let mut v = member;
         while v != group.root {
-            let (p, lid) = group.parent[v.0 as usize]?;
+            let (p, lid) = group.parent_of(v)?;
             if existing.contains(&lid) {
                 break; // grafted onto the existing tree
             }
@@ -220,7 +249,7 @@ impl NetworkInner {
         let mut acc = Vec::new();
         let mut v = member;
         while v != group.root {
-            let (p, lid) = group.parent[v.0 as usize]?;
+            let (p, lid) = group.parent_of(v)?;
             acc.push(lid);
             v = p;
         }
@@ -247,7 +276,7 @@ impl NetworkInner {
                 if v == group.root {
                     break true;
                 }
-                match group.parent[v.0 as usize] {
+                match group.parent_of(v) {
                     Some((p, _)) => v = p,
                     None => break false,
                 }
@@ -258,7 +287,7 @@ impl NetworkInner {
             reached.insert(m);
             let mut v = m;
             while v != group.root {
-                let (p, lid) = group.parent[v.0 as usize].expect("branch walk just succeeded");
+                let (p, lid) = group.parent_of(v).expect("branch walk just succeeded");
                 if !links.insert(lid) {
                     break; // remainder of the walk is already in the tree
                 }
@@ -303,6 +332,7 @@ impl Network {
                 links: Vec::new(),
                 adjacency: Vec::new(),
                 next_hop: Vec::new(),
+                forests: BTreeMap::new(),
                 frozen: false,
                 groups: Vec::new(),
                 counters: NetworkCounters::default(),
@@ -669,16 +699,11 @@ impl Network {
 
     /// Create a multicast group rooted at `root`, reserving `bandwidth` on
     /// every link its shared tree comes to hold. Freezes the topology
-    /// (the BFS tree is computed once).
+    /// (the root's BFS forest is computed on first use and shared).
     pub fn create_group(&self, root: NetAddr, bandwidth: Bandwidth) -> GroupId {
         let mut inner = self.inner.borrow_mut();
-        // Freeze the topology exactly like unicast routing does, so links
-        // cannot be added under a computed tree.
-        if inner.next_hop[root.0 as usize].is_none() {
-            inner.build_routes_from(root.0 as usize);
-        }
         let id = GroupId(inner.groups.len() as u32);
-        let parent = inner.build_mcast_parents(root.0 as usize);
+        let parent = inner.forest(root);
         inner.groups.push(GroupState {
             root,
             bandwidth,
@@ -751,7 +776,7 @@ impl Network {
     }
 
     /// Reconcile `g`'s shared tree with the current up/down state of the
-    /// network: recompute the BFS parent forest around dead elements,
+    /// network: adopt the root's current BFS forest (around dead elements),
     /// drop members that no longer have any live path from the root, and
     /// move the tree's reservations onto the links of the rebuilt tree
     /// (charging detour links, releasing abandoned ones — all-or-nothing:
@@ -762,9 +787,9 @@ impl Network {
         let mut inner = self.inner.borrow_mut();
         let root = inner.groups[g.0 as usize].root;
         let parent = if inner.nodes[root.0 as usize].up {
-            inner.build_mcast_parents(root.0 as usize)
+            inner.forest(root)
         } else {
-            vec![None; inner.nodes.len()] // dead root: nobody is reachable
+            vec![None; inner.nodes.len()].into() // dead root: nobody is reachable
         };
         inner.groups[g.0 as usize].parent = parent;
         let unreachable: Vec<NetAddr> = {
@@ -824,13 +849,17 @@ impl Network {
         })
     }
 
-    /// Dissolve `g`: drop all members and release every tree reservation.
+    /// Dissolve `g`: drop all members, release every tree reservation and
+    /// let go of the shared forest and the tree snapshot (packets already
+    /// in flight keep the snapshot they were sent with). Nobody is
+    /// reachable in a released group.
     pub fn group_release(&self, g: GroupId) {
         let mut inner = self.inner.borrow_mut();
         inner.reservations.release(g.reservation_vc());
-        let root = inner.groups[g.0 as usize].root;
-        inner.groups[g.0 as usize].members.clear();
-        inner.groups[g.0 as usize].tree = Rc::new(GroupTree::empty(root));
+        let group = &mut inner.groups[g.0 as usize];
+        group.members.clear();
+        group.parent = Rc::new([]);
+        group.tree = Rc::new(GroupTree::empty(group.root));
     }
 
     /// The group's current tree snapshot.
@@ -859,14 +888,7 @@ impl Network {
             }
             // Full parent-walk (ignore the current tree): the branch a
             // packet would traverse root → member.
-            let mut acc = Vec::new();
-            let mut v = member;
-            while v != group.root {
-                let (p, lid) = group.parent[v.0 as usize]?;
-                acc.push(lid);
-                v = p;
-            }
-            acc
+            NetworkInner::member_branch(group, member)?
         };
         Some(self.qos_over_links(&path, mtu))
     }
@@ -1659,10 +1681,8 @@ mod tests {
         assert!(r.is_err(), "add_link must still panic after fault churn");
     }
 
-    #[test]
-    fn group_refresh_regrafts_around_dead_hub() {
-        // root—hubA—r and root—hubB—r: the tree prefers hubA, then hubA
-        // dies and refresh moves the branch (and its reservation) to hubB.
+    /// root—hubA—r and root—hubB—r (hubA first, so BFS prefers it).
+    fn diamond() -> (Network, NetAddr, NetAddr, NetAddr, NetAddr) {
         let net = Network::new(Engine::new());
         let mut rng = DetRng::from_seed(43);
         let root = net.add_node(NodeClock::perfect());
@@ -1674,6 +1694,87 @@ mod tests {
         net.add_duplex(root, hub_b, p.clone(), &mut rng);
         net.add_duplex(hub_a, r, p.clone(), &mut rng);
         net.add_duplex(hub_b, r, p, &mut rng);
+        (net, root, hub_a, hub_b, r)
+    }
+
+    fn forest_of(net: &Network, g: GroupId) -> Forest {
+        net.inner.borrow().groups[g.0 as usize].parent.clone()
+    }
+
+    #[test]
+    fn groups_at_one_root_share_one_forest() {
+        let (net, root, hub, _rs, _cols) = mcast_net();
+        let g1 = net.create_group(root, Bandwidth::mbps(1));
+        let g2 = net.create_group(root, Bandwidth::mbps(1));
+        let elsewhere = net.create_group(hub, Bandwidth::mbps(1));
+        assert!(Rc::ptr_eq(&forest_of(&net, g1), &forest_of(&net, g2)));
+        assert!(!Rc::ptr_eq(
+            &forest_of(&net, g1),
+            &forest_of(&net, elsewhere)
+        ));
+        // Two groups + the per-root cache + the clone in hand.
+        assert_eq!(Rc::strong_count(&forest_of(&net, g1)), 4);
+    }
+
+    #[test]
+    fn fault_invalidates_the_forest_cache_not_the_adopted_forests() {
+        let (net, root, hub_a, hub_b, r) = diamond();
+        let via_a = net.links_between(hub_a, r)[0];
+        let via_b = net.links_between(hub_b, r)[0];
+        let old = net.create_group(root, Bandwidth::mbps(2));
+        net.group_join(old, r).unwrap().unwrap();
+        net.set_node_up(hub_a, false);
+        // A group created after the fault routes around it...
+        let new = net.create_group(root, Bandwidth::mbps(1));
+        net.group_join(new, r).unwrap().unwrap();
+        assert!(net.group_tree(new).links.contains(&via_b));
+        assert_eq!(net.reserved_on(via_b), Bandwidth::mbps(1));
+        // ...while the existing one keeps the forest it adopted: its
+        // branch (and reservation) stays on the dead hub until refreshed.
+        assert!(!Rc::ptr_eq(&forest_of(&net, old), &forest_of(&net, new)));
+        assert!(net.group_tree(old).links.contains(&via_a));
+        assert_eq!(net.reserved_on(via_a), Bandwidth::mbps(2));
+        net.group_refresh(old).unwrap();
+        assert!(Rc::ptr_eq(&forest_of(&net, old), &forest_of(&net, new)));
+        assert_eq!(net.reserved_on(via_a), Bandwidth::ZERO);
+        assert_eq!(net.reserved_on(via_b), Bandwidth::mbps(3));
+        // Recovery is a fault transition too: the cache starts over.
+        net.set_node_up(hub_a, true);
+        let after = net.create_group(root, Bandwidth::mbps(1));
+        assert!(!Rc::ptr_eq(&forest_of(&net, after), &forest_of(&net, new)));
+    }
+
+    #[test]
+    fn group_release_lets_go_of_forest_tree_and_every_reservation() {
+        let (net, root, _hub, rs, _cols) = mcast_net();
+        let g = net.create_group(root, Bandwidth::mbps(2));
+        for &r in &rs {
+            net.group_join(g, r).unwrap().unwrap();
+        }
+        let links: Vec<LinkId> = net.group_tree(g).links.iter().copied().collect();
+        assert_eq!(links.len(), 4);
+        let tree = Rc::downgrade(&net.group_tree(g));
+        let forest = forest_of(&net, g);
+        assert_eq!(Rc::strong_count(&forest), 3, "group + cache + this clone");
+        net.group_release(g);
+        assert_eq!(Rc::strong_count(&forest), 2, "the group let go");
+        assert!(tree.upgrade().is_none(), "tree snapshot still referenced");
+        assert!(forest_of(&net, g).is_empty());
+        for lid in links {
+            assert_eq!(net.reserved_on(lid), Bandwidth::ZERO, "link {lid:?}");
+        }
+        assert_eq!(net.reservation_count(), 0);
+        // A released group is inert, not a trap: nobody is reachable.
+        assert!(net.group_members(g).is_empty());
+        assert!(net.group_join(g, rs[0]).is_none());
+        assert!(net.group_path_qos(g, rs[0], 1500).is_none());
+    }
+
+    #[test]
+    fn group_refresh_regrafts_around_dead_hub() {
+        // The tree prefers hubA, then hubA dies and refresh moves the
+        // branch (and its reservation) to hubB.
+        let (net, root, hub_a, hub_b, r) = diamond();
         let g = net.create_group(root, Bandwidth::mbps(2));
         net.group_join(g, r).unwrap().unwrap();
         let via_a = net.links_between(hub_a, r)[0];
