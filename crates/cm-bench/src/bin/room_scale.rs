@@ -60,6 +60,7 @@
 use cm_bench::city_run::{run_city_schedule, CityStats};
 use cm_bench::city_zone::{run_city_cluster_mode, run_city_cluster_schedule, ClusterCityStats};
 use cm_cluster::RoundMode;
+use cm_core::hash::fnv1a64;
 use cm_obs::{render_report, ObsZoneReport};
 use cm_testkit::{CityConfig, CitySchedule};
 use std::time::Instant;
@@ -141,17 +142,6 @@ fn measure_cluster_mode(
         wall_us: wall.as_micros() as u64,
         stats,
     }
-}
-
-/// 64-bit FNV-1a over a string — the differential-check fingerprint of a
-/// merged telemetry stream.
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn json_escape(s: &str) -> String {
@@ -722,7 +712,7 @@ fn main() {
         println!("member_slots={}", m.stats.joins_ok);
         println!("sim_ms={}", m.stats.sim_ms);
         if let Some(r) = &report_json {
-            println!("report_fnv={:#018x}", fnv64(r));
+            println!("report_fnv={:#018x}", fnv1a64(r.as_bytes()));
         }
         println!("wall_ms={}", m.wall_ms);
         println!("wall_us={}", m.wall_us);
@@ -816,10 +806,10 @@ fn run_cluster_mode(
         println!("wan_msgs={}", c.wan_msgs);
         println!("wan_bytes={}", c.wan_bytes);
         if let Some(jsonl) = &c.merged_jsonl {
-            println!("telemetry_fnv={:#018x}", fnv64(jsonl));
+            println!("telemetry_fnv={:#018x}", fnv1a64(jsonl.as_bytes()));
         }
         if let Some(r) = &report_json {
-            println!("report_fnv={:#018x}", fnv64(r));
+            println!("report_fnv={:#018x}", fnv1a64(r.as_bytes()));
         }
         let traced: Vec<&ObsZoneReport> = c
             .per_zone

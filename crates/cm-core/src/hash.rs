@@ -1,4 +1,5 @@
-//! Fast non-cryptographic hashing for hot-path maps.
+//! Fast non-cryptographic hashing: the hot-path map hasher, and the one
+//! 64-bit FNV-1a every determinism fingerprint in the tree is taken with.
 //!
 //! The demultiplex point of every layer is a map lookup keyed by a small
 //! integer id (`VcId`, `Tsap`, room number). `std`'s default SipHash is
@@ -76,6 +77,25 @@ impl Hasher for FastHasher {
     }
 }
 
+/// Offset basis of the 64-bit FNV-1a.
+pub(crate) const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue a 64-bit FNV-1a from `state` over `bytes`.
+#[inline]
+pub(crate) fn fnv1a64_from(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// 64-bit FNV-1a of `bytes` — stable across platforms and runs, which the
+/// keyed `std` hashers are not. Fingerprints (schedule, telemetry stream,
+/// report) and the wire checksum use it; maps do not.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_from(FNV1A64_OFFSET, bytes)
+}
+
 /// `HashMap` with the fast hasher — for id-keyed hot maps that are never
 /// iterated.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
@@ -113,6 +133,13 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), hashes.len());
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_published_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! repeatable. Sub-streams are forked by label so adding a new consumer of
 //! randomness does not perturb existing ones.
 
+use crate::hash::{fnv1a64_from, FNV1A64_OFFSET};
 use crate::qos::ErrorRate;
 use crate::time::SimDuration;
 use rand::rngs::StdRng;
@@ -35,12 +36,7 @@ impl DetRng {
     #[inline]
     pub fn fork(&mut self, label: &str) -> DetRng {
         let base: u64 = self.inner.gen();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ base;
-        for b in label.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        DetRng::from_seed(h)
+        DetRng::from_seed(fnv1a64_from(FNV1A64_OFFSET ^ base, label.as_bytes()))
     }
 
     /// A uniform value in `[0, 1)`.

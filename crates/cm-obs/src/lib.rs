@@ -38,9 +38,10 @@ mod report;
 
 pub use report::{render_report, ObsZoneReport, SegStats, StreamReport};
 
+use cm_core::hash::FastMap;
 use cm_telemetry::Histogram;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// The typed segment classes a span decomposes into, in budget order
@@ -148,7 +149,8 @@ struct ArrivalRec {
 
 /// Per-stream state: label, contract, aggregates and the audit window.
 struct StreamObs {
-    label: String,
+    /// Explicit label; the `"vc{id}"` default is built at report time.
+    label: Option<String>,
     deadline_us: u64,
     allowed_miss_ppm: u64,
     stall_cum_us: u64,
@@ -170,9 +172,9 @@ struct StreamObs {
 }
 
 impl StreamObs {
-    fn new(stream: u64) -> StreamObs {
+    fn new() -> StreamObs {
         StreamObs {
-            label: format!("vc{stream}"),
+            label: None,
             deadline_us: 0,
             allowed_miss_ppm: 0,
             stall_cum_us: 0,
@@ -225,14 +227,18 @@ impl StreamObs {
     }
 }
 
+/// The registries are hashed: they are hit several times per OSDU and
+/// hold up to `open_cap` entries, so a hit must not cost more as history
+/// grows. Nothing iterates them in an order that shows — retirement order
+/// lives in the two `*_order` queues, and `finish_report` sorts streams.
 struct Inner {
     enabled: Cell<bool>,
     window_us: Cell<u64>,
     open_cap: Cell<usize>,
-    streams: RefCell<BTreeMap<u64, StreamObs>>,
-    open: RefCell<BTreeMap<(u64, u64), SourceRec>>,
+    streams: RefCell<FastMap<u64, StreamObs>>,
+    open: RefCell<FastMap<(u64, u64), SourceRec>>,
     open_order: RefCell<VecDeque<(u64, u64)>>,
-    arrivals: RefCell<BTreeMap<(u64, u64, u64), ArrivalRec>>,
+    arrivals: RefCell<FastMap<(u64, u64, u64), ArrivalRec>>,
     arrivals_order: RefCell<VecDeque<(u64, u64, u64)>>,
     abandoned: Cell<u64>,
 }
@@ -279,10 +285,10 @@ impl Obs {
                 enabled: Cell::new(false),
                 window_us: Cell::new(DEFAULT_WINDOW_US),
                 open_cap: Cell::new(DEFAULT_OPEN_CAP),
-                streams: RefCell::new(BTreeMap::new()),
-                open: RefCell::new(BTreeMap::new()),
+                streams: RefCell::default(),
+                open: RefCell::default(),
                 open_order: RefCell::new(VecDeque::new()),
-                arrivals: RefCell::new(BTreeMap::new()),
+                arrivals: RefCell::default(),
                 arrivals_order: RefCell::new(VecDeque::new()),
                 abandoned: Cell::new(0),
             }),
@@ -313,9 +319,7 @@ impl Obs {
 
     fn stream_mut<R>(&self, stream: u64, f: impl FnOnce(&mut StreamObs) -> R) -> R {
         let mut streams = self.inner.streams.borrow_mut();
-        f(streams
-            .entry(stream)
-            .or_insert_with(|| StreamObs::new(stream)))
+        f(streams.entry(stream).or_insert_with(StreamObs::new))
     }
 
     /// Record the negotiated contract for a stream: the end-to-end delay
@@ -336,7 +340,7 @@ impl Obs {
         if !self.enabled() {
             return;
         }
-        self.stream_mut(stream, |s| s.label = label.to_string());
+        self.stream_mut(stream, |s| s.label = Some(label.to_string()));
     }
 
     /// Mint a trace: the OSDU entered the stream's send buffer at `now`.
@@ -344,14 +348,15 @@ impl Obs {
         if !self.enabled() {
             return;
         }
-        let (e2e_origin_us, mirror_relay_us) = self.stream_mut(stream, |s| {
-            match s.pending_relay.take() {
+        let (e2e_origin_us, mirror_relay_us, stall_at_mint_us) = self.stream_mut(stream, |s| {
+            let (origin, relay) = match s.pending_relay.take() {
                 // The whole upstream leg — home-zone residency, relay
                 // capture and the wide-area hop — is one segment here;
                 // the home zone's own span carries its fine breakdown.
                 Some((origin, _relayed_at)) => (origin, now_us.saturating_sub(origin)),
                 None => (now_us, 0),
-            }
+            };
+            (origin, relay, s.stall_cum_us)
         });
         let mut open = self.inner.open.borrow_mut();
         let mut order = self.inner.open_order.borrow_mut();
@@ -373,18 +378,13 @@ impl Obs {
                 origin_us: now_us,
                 e2e_origin_us,
                 mirror_relay_us,
-                stall_at_mint_us: 0,
+                stall_at_mint_us,
                 first_tx_us: None,
                 pacing_us: 0,
                 credit_us: 0,
                 closed_once: false,
             },
         );
-        // Snapshot the stall counter after insert to avoid a double borrow.
-        let stall = self.stream_mut(stream, |s| s.stall_cum_us);
-        if let Some(rec) = open.get_mut(&(stream, seq)) {
-            rec.stall_at_mint_us = stall;
-        }
     }
 
     /// Stage relay provenance for the *next* mint on `stream`: the guest
@@ -621,7 +621,7 @@ impl Obs {
                 breaches_total += s.breach_count;
                 streams_out.push(StreamReport {
                     stream: id,
-                    label: s.label.clone(),
+                    label: s.label.clone().unwrap_or_else(|| format!("vc{id}")),
                     deadline_us: s.deadline_us,
                     allowed_miss_ppm: s.allowed_miss_ppm,
                     spans: s.spans,
@@ -638,6 +638,8 @@ impl Obs {
                 });
             }
         }
+        // The registry is hashed; the report is in stream-id order.
+        streams_out.sort_unstable_by_key(|s| s.stream);
         ObsZoneReport {
             zone,
             spans,

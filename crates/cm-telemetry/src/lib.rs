@@ -229,7 +229,9 @@ impl Telemetry {
 
     fn push_event(&self, ev: Event) {
         let mut events = self.inner.events.borrow_mut();
-        if events.len() >= self.inner.capacity.get() {
+        // More than one eviction when `enable` lowered the capacity below
+        // the current ring length.
+        while events.len() >= self.inner.capacity.get() {
             events.pop_front();
             self.inner.overflow.set(self.inner.overflow.get() + 1);
         }
@@ -463,6 +465,19 @@ mod tests {
         assert_eq!(tel.overflow(), 2);
         assert_eq!(evs[0].fields[0].1, Value::U64(2));
         assert_eq!(evs[2].fields[0].1, Value::U64(4));
+    }
+
+    #[test]
+    fn lowering_the_capacity_shrinks_the_ring() {
+        let tel = Telemetry::recording(8);
+        for i in 0..8u64 {
+            tel.instant(t(i), Layer::App, "e", |_| {});
+        }
+        tel.enable(3);
+        tel.instant(t(8), Layer::App, "e", |_| {});
+        assert_eq!(tel.event_count(), 3);
+        assert_eq!(tel.overflow(), 6);
+        assert_eq!(tel.events()[0].at, t(6));
     }
 
     #[test]

@@ -385,11 +385,6 @@ impl CitySchedule {
     /// FNV-1a over [`CitySchedule::encode`] — the determinism fingerprint
     /// pinned by the seeded-determinism property test.
     pub fn fnv(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.encode() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        cm_core::hash::fnv1a64(&self.encode())
     }
 }

@@ -1073,7 +1073,10 @@ impl TransportEntity {
                     Ok(qos) => {
                         {
                             let mut st = self.state.borrow_mut();
-                            if let Some(v) = st.vcs.get_mut(&vc) {
+                            // A group sender's contract is derived
+                            // from its members (`recompute_group`), never
+                            // set from the wire.
+                            if let Some(v) = st.vcs.get_mut(&vc).filter(|v| v.group.is_none()) {
                                 v.contract = qos;
                             }
                         }

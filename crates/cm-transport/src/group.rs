@@ -28,7 +28,7 @@ use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
 use cm_core::qos::{GuaranteeMode, QosParams, QosRequirement};
 use cm_core::service_class::{ProtocolProfile, ServiceClass};
-use cm_core::time::Bandwidth;
+use cm_core::time::{Bandwidth, SimTime};
 use netsim::GroupId;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -48,13 +48,6 @@ pub struct GroupReceiver {
     pub base_charged: u64,
 }
 
-impl GroupReceiver {
-    /// OSDUs charged against this member's buffer and not yet freed.
-    pub fn in_flight(&self, charged: u64) -> u64 {
-        charged.saturating_sub(self.base_charged + self.freed)
-    }
-}
-
 /// A member invited but not yet confirmed.
 pub(crate) struct PendingReceiver {
     pub(crate) addr: TransportAddr,
@@ -62,13 +55,162 @@ pub(crate) struct PendingReceiver {
 }
 
 /// Sender-side group state attached to the source [`Vc`].
+///
+/// Owns the membership maps *and* the aggregate the sender paces
+/// against, so neither can change without the other: every membership
+/// change goes through a method here that re-derives the aggregate, and a
+/// credit report maintains it in O(1). The third part of the aggregate —
+/// the contract in force — is the fold over the members' contracts that
+/// `recompute_group` stores in `Vc::contract`.
 pub struct GroupEnd {
     /// The network-layer multicast group carrying the data path.
     pub group: GroupId,
     /// Admitted receivers, in deterministic (node) order.
-    pub receivers: BTreeMap<NetAddr, GroupReceiver>,
+    receivers: BTreeMap<NetAddr, GroupReceiver>,
     /// Invited members awaiting their `GroupConnectResponse`.
-    pub(crate) pending: BTreeMap<NetAddr, PendingReceiver>,
+    pending: BTreeMap<NetAddr, PendingReceiver>,
+    /// Credit floor: the smallest `base_charged + freed` over `receivers`.
+    floor: u64,
+    /// How many receivers sit exactly on `floor` (zero only when there
+    /// are none). Counting ties is what makes a report O(1): every member
+    /// starts a round on the floor, and only the last one to move off it
+    /// pays for a rescan.
+    at_floor: usize,
+    /// Smallest member capacity (`u64::MAX` with no receivers).
+    min_capacity: u64,
+    /// Full passes over `receivers` made to re-derive the floor (tests
+    /// bound them against report counts).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) rescans: u64,
+}
+
+impl GroupEnd {
+    fn new(group: GroupId) -> GroupEnd {
+        GroupEnd {
+            group,
+            receivers: BTreeMap::new(),
+            pending: BTreeMap::new(),
+            floor: 0,
+            at_floor: 0,
+            min_capacity: u64::MAX,
+            #[cfg(any(test, debug_assertions))]
+            rescans: 0,
+        }
+    }
+
+    /// Admitted receivers, in deterministic (node) order.
+    pub fn receivers(&self) -> impl Iterator<Item = &GroupReceiver> {
+        self.receivers.values()
+    }
+
+    /// Every member node, admitted or still invited.
+    pub(crate) fn members(&self) -> impl Iterator<Item = NetAddr> + '_ {
+        self.receivers.keys().chain(self.pending.keys()).copied()
+    }
+
+    /// Whether `node` is admitted or invited.
+    pub(crate) fn is_member(&self, node: NetAddr) -> bool {
+        self.receivers.contains_key(&node) || self.pending.contains_key(&node)
+    }
+
+    /// Record an invitation sent to `to` at stream position `base_charged`.
+    pub(crate) fn invite(&mut self, to: TransportAddr, base_charged: u64) {
+        self.pending.insert(
+            to.node,
+            PendingReceiver {
+                addr: to,
+                base_charged,
+            },
+        );
+    }
+
+    /// Withdraw the invitation of `node`, if one is outstanding.
+    pub(crate) fn take_pending(&mut self, node: NetAddr) -> Option<PendingReceiver> {
+        self.pending.remove(&node)
+    }
+
+    /// Admit an invited member with its negotiated contract and capacity.
+    pub(crate) fn admit(&mut self, invited: PendingReceiver, contract: QosParams, capacity: u64) {
+        self.receivers.insert(
+            invited.addr.node,
+            GroupReceiver {
+                addr: invited.addr,
+                contract,
+                capacity,
+                freed: 0,
+                base_charged: invited.base_charged,
+            },
+        );
+        self.rescan();
+    }
+
+    /// Drop `node` from the group, admitted or invited; its address if it
+    /// was either.
+    pub(crate) fn remove(&mut self, node: NetAddr) -> Option<TransportAddr> {
+        if let Some(r) = self.receivers.remove(&node) {
+            self.rescan();
+            return Some(r.addr);
+        }
+        self.pending.remove(&node).map(|p| p.addr)
+    }
+
+    /// A credit report from `from`: `false` if it is not an admitted
+    /// member. Stale and duplicate totals change nothing. No pass over
+    /// the receivers unless the last member on the floor just left it.
+    fn credit(&mut self, from: NetAddr, freed_total: u64) -> bool {
+        let Some(r) = self.receivers.get_mut(&from) else {
+            return false;
+        };
+        if freed_total > r.freed {
+            let was_on_floor = r.base_charged + r.freed == self.floor;
+            r.freed = freed_total;
+            if was_on_floor {
+                self.at_floor -= 1;
+                if self.at_floor == 0 {
+                    self.rescan();
+                }
+            }
+        }
+        true
+    }
+
+    /// The one full derivation of floor, tie count and smallest capacity.
+    fn rescan(&mut self) {
+        #[cfg(any(test, debug_assertions))]
+        {
+            self.rescans += 1;
+        }
+        (self.floor, self.at_floor, self.min_capacity) = self.derive_credit();
+    }
+
+    /// `(floor, members on it, smallest capacity)` from scratch.
+    fn derive_credit(&self) -> (u64, usize, u64) {
+        let (mut floor, mut at_floor, mut min_capacity) = (0, 0, u64::MAX);
+        for r in self.receivers.values() {
+            let line = r.base_charged + r.freed;
+            if at_floor == 0 || line < floor {
+                (floor, at_floor) = (line, 1);
+            } else if line == floor {
+                at_floor += 1;
+            }
+            min_capacity = min_capacity.min(r.capacity);
+        }
+        (floor, at_floor, min_capacity)
+    }
+
+    /// The slowest member's window — `(cumulative freed, capacity)`,
+    /// conservative on both — or `None` with no receivers.
+    fn credit_line(&self) -> Option<(u64, u64)> {
+        (self.at_floor > 0).then_some((self.floor, self.min_capacity))
+    }
+
+    /// `preferred` weakened to every member's contract: the slowest
+    /// acceptable level in force (§3.2).
+    fn contract(&self, preferred: QosParams) -> QosParams {
+        self.receivers
+            .values()
+            .fold(preferred, |acc, r| acc.weaken_to(&r.contract))
+    }
 }
 
 impl TransportEntity {
@@ -147,27 +289,14 @@ impl TransportEntity {
             local_tsap: tsap,
             source: Some(source),
             sink: None,
-            group: Some(GroupEnd {
-                group,
-                receivers: BTreeMap::new(),
-                pending: BTreeMap::new(),
-            }),
+            group: Some(GroupEnd::new(group)),
             pending_reneg: None,
         };
-        // Register the preferred contract with the auditor; joins that
-        // weaken the group contract re-register through
-        // `recompute_group`.
-        if self.obs.enabled() {
-            let preferred = requirement.tolerance.preferred;
-            self.obs.set_contract(
-                vc.0,
-                preferred.delay.as_micros(),
-                preferred.packet_error_rate.as_ppb() / 1_000,
-            );
-        }
         let h = self.state.borrow_mut().vcs.insert(vc, v);
         self.attach_source_timers(h);
-        self.ensure_tick_now(vc);
+        // The empty group's derivation: registers the preferred contract
+        // with the auditor and arms the first tick.
+        self.recompute_group(vc);
         Ok(vc)
     }
 
@@ -193,7 +322,7 @@ impl TransportEntity {
                     "the sending node cannot be a group receiver",
                 ));
             }
-            if ge.receivers.contains_key(&to.node) || ge.pending.contains_key(&to.node) {
+            if ge.is_member(to.node) {
                 return Err(ServiceError::WrongState("node already in the group"));
             }
             let s = v.source.as_ref().expect("group source end");
@@ -232,13 +361,7 @@ impl TransportEntity {
         {
             let mut st = self.state.borrow_mut();
             if let Some(ge) = st.vcs.get_mut(&vc).and_then(|v| v.group.as_mut()) {
-                ge.pending.insert(
-                    to.node,
-                    PendingReceiver {
-                        addr: to,
-                        base_charged: start_seq,
-                    },
-                );
+                ge.invite(to, start_seq);
             }
         }
         let me = TransportAddr {
@@ -271,32 +394,21 @@ impl TransportEntity {
         member: TransportAddr,
         result: Result<(QosParams, u32), DisconnectReason>,
     ) {
-        let (pending, group, local_tsap) = {
+        let (group, local_tsap) = {
             let mut st = self.state.borrow_mut();
             let Some(v) = st.vcs.get_mut(&vc) else { return };
             let tsap = v.local_tsap;
             let Some(ge) = v.group.as_mut() else { return };
-            let g = ge.group;
-            (ge.pending.remove(&member.node), g, tsap)
+            let Some(invited) = ge.take_pending(member.node) else {
+                return;
+            };
+            if let Ok((agreed, capacity)) = result {
+                ge.admit(invited, agreed, capacity as u64);
+            }
+            (ge.group, tsap)
         };
-        let Some(pending) = pending else { return };
         match result {
-            Ok((agreed, capacity)) => {
-                {
-                    let mut st = self.state.borrow_mut();
-                    if let Some(ge) = st.vcs.get_mut(&vc).and_then(|v| v.group.as_mut()) {
-                        ge.receivers.insert(
-                            member.node,
-                            GroupReceiver {
-                                addr: member,
-                                contract: agreed,
-                                capacity: capacity as u64,
-                                freed: 0,
-                                base_charged: pending.base_charged,
-                            },
-                        );
-                    }
-                }
+            Ok((agreed, _)) => {
                 self.recompute_group(vc);
                 self.to_user(local_tsap, move |svc, u| {
                     u.t_group_join_confirm(svc, vc, member, Ok(agreed))
@@ -325,12 +437,7 @@ impl TransportEntity {
             let Some(v) = st.vcs.get_mut(&vc) else { return };
             let tsap = v.local_tsap;
             let Some(ge) = v.group.as_mut() else { return };
-            let gone = ge
-                .receivers
-                .remove(&member)
-                .map(|r| r.addr)
-                .or_else(|| ge.pending.remove(&member).map(|p| p.addr));
-            (gone, ge.group, tsap)
+            (ge.remove(member), ge.group, tsap)
         };
         let Some(addr) = gone else { return };
         self.net.group_leave(group, member);
@@ -353,9 +460,8 @@ impl TransportEntity {
                 .group
                 .as_mut()
                 .ok_or(ServiceError::WrongState("not a group VC"))?;
-            if ge.receivers.remove(&member).is_none() && ge.pending.remove(&member).is_none() {
-                return Err(ServiceError::BadArgument("node is not a group member"));
-            }
+            ge.remove(member)
+                .ok_or(ServiceError::BadArgument("node is not a group member"))?;
             ge.group
         };
         self.send_control(
@@ -381,13 +487,7 @@ impl TransportEntity {
                 .group
                 .as_ref()
                 .ok_or(ServiceError::WrongState("not a group VC"))?;
-            let members: Vec<NetAddr> = ge
-                .receivers
-                .keys()
-                .chain(ge.pending.keys())
-                .copied()
-                .collect();
-            (ge.group, members)
+            (ge.group, ge.members().collect::<Vec<_>>())
         };
         for m in members {
             self.send_control(
@@ -404,59 +504,44 @@ impl TransportEntity {
         Ok(())
     }
 
-    /// A per-receiver credit report arrived: update the member, then
-    /// re-derive the slowest-member pacing floor.
+    /// A per-receiver credit report arrived: update the member and the
+    /// group aggregate — O(1) in the group size — then run the same tail a
+    /// full derivation ends in. The tail is not skipped when the report
+    /// changed nothing: `set_factor` rebases the pacing clock and the
+    /// re-arm takes a fresh sequence number, so both are part of the
+    /// same-instant firing order.
     pub(crate) fn on_group_credit(self: &Rc<Self>, vc: VcId, from: NetAddr, freed_total: u64) {
-        {
+        let local = self.local_now();
+        let resume = {
             let mut st = self.state.borrow_mut();
-            let Some(r) = st
-                .vcs
-                .get_mut(&vc)
-                .and_then(|v| v.group.as_mut())
-                .and_then(|ge| ge.receivers.get_mut(&from))
-            else {
+            let Some(v) = st.vcs.get_mut(&vc) else { return };
+            let Some(ge) = v.group.as_mut() else { return };
+            if !ge.credit(from, freed_total) {
                 return;
-            };
-            r.freed = r.freed.max(freed_total);
-        }
-        self.recompute_group(vc);
+            }
+            debug_assert_eq!((ge.floor, ge.at_floor, ge.min_capacity), ge.derive_credit());
+            debug_assert_eq!(v.contract, ge.contract(v.requirement.tolerance.preferred));
+            apply_aggregate(v, local)
+        };
+        self.resume_or_rearm(vc, resume);
     }
 
-    /// Re-derive the group-wide contract, credit line and pacing factor
-    /// from the current receiver set:
+    /// The one full derivation of the group-wide contract, called exactly
+    /// where membership — and with it some member's contract — changes
+    /// (open, join confirm, member left, remove receiver, heal prune):
     ///
     /// - contract = the preferred level weakened to every member's
     ///   contract (the slowest acceptable level in force, §3.2);
     /// - credit = the slowest member's window (conservative: smallest
-    ///   capacity, smallest cumulative freed);
+    ///   capacity, smallest cumulative freed), kept by [`GroupEnd`];
     /// - pacing = base rate × contracted/preferred throughput.
     pub(crate) fn recompute_group(self: &Rc<Self>, vc: VcId) {
         let local = self.local_now();
         let resume = {
             let mut st = self.state.borrow_mut();
             let Some(v) = st.vcs.get_mut(&vc) else { return };
-            let preferred = v.requirement.tolerance.preferred;
             let Some(ge) = v.group.as_ref() else { return };
-            let contract = ge
-                .receivers
-                .values()
-                .fold(preferred, |acc, r| acc.weaken_to(&r.contract));
-            let credit = if ge.receivers.is_empty() {
-                None
-            } else {
-                Some((
-                    ge.receivers
-                        .values()
-                        .map(|r| r.base_charged + r.freed)
-                        .min()
-                        .expect("non-empty"),
-                    ge.receivers
-                        .values()
-                        .map(|r| r.capacity)
-                        .min()
-                        .expect("non-empty"),
-                ))
-            };
+            let contract = ge.contract(v.requirement.tolerance.preferred);
             v.contract = contract;
             // The audited deadline follows the contract in force: joins
             // may weaken it, leaves restore it.
@@ -467,35 +552,188 @@ impl TransportEntity {
                     contract.packet_error_rate.as_ppb() / 1_000,
                 );
             }
-            let s = v.source.as_mut().expect("group source end");
-            match credit {
-                Some((freed, cap)) => {
-                    s.freed_remote = freed;
-                    s.recv_capacity = cap;
-                }
-                None => {
-                    s.freed_remote = s.charged;
-                    s.recv_capacity = u64::MAX;
-                }
-            }
-            let num = contract.throughput.as_bps();
-            let den = preferred.throughput.as_bps();
-            if num > 0 && den > 0 {
-                s.clock.set_factor(num.min(den), den, local);
-            } else {
-                s.clock.set_factor(1, 1, local);
-            }
-            if s.stalled_credit && s.has_credit() {
-                s.stalled_credit = false;
-                true
-            } else {
-                false
-            }
+            apply_aggregate(v, local)
         };
+        self.resume_or_rearm(vc, resume);
+    }
+
+    fn resume_or_rearm(self: &Rc<Self>, vc: VcId, resume: bool) {
         if resume {
             self.source_tick(vc);
         } else {
             self.ensure_tick_now(vc);
         }
+    }
+}
+
+/// Push the group aggregate into the source end — the credit line and the
+/// pacing factor of the contract in force. Returns whether a credit stall
+/// just cleared (the caller then ticks instead of re-arming).
+fn apply_aggregate(v: &mut Vc, local: SimTime) -> bool {
+    let credit = v.group.as_ref().and_then(GroupEnd::credit_line);
+    let s = v.source.as_mut().expect("group source end");
+    match credit {
+        Some((freed, cap)) => {
+            s.freed_remote = freed;
+            s.recv_capacity = cap;
+        }
+        None => {
+            s.freed_remote = s.charged;
+            s.recv_capacity = u64::MAX;
+        }
+    }
+    let num = v.contract.throughput.as_bps();
+    let den = v.requirement.tolerance.preferred.throughput.as_bps();
+    if num > 0 && den > 0 {
+        s.clock.set_factor(num.min(den), den, local);
+    } else {
+        s.clock.set_factor(1, 1, local);
+    }
+    let resume = s.stalled_credit && s.has_credit();
+    if resume {
+        s.stalled_credit = false;
+    }
+    resume
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cm_core::qos::ErrorRate;
+    use cm_core::time::SimDuration;
+    use proptest::prelude::*;
+
+    /// Member nodes are drawn from `0..NODES`; reports also come from the
+    /// two ids above, which never join.
+    const NODES: u64 = 6;
+
+    fn addr(node: u64) -> TransportAddr {
+        TransportAddr {
+            node: NetAddr(node as u32),
+            tsap: Tsap(2),
+        }
+    }
+
+    /// Level 0 is the preferred contract; higher levels are weaker on
+    /// throughput and delay, and odd levels also on loss — so the fold is
+    /// not decided by one member alone.
+    fn level(l: u64) -> QosParams {
+        QosParams {
+            throughput: Bandwidth::kbps(1_000 - 100 * l),
+            delay: SimDuration::from_millis(10 * (l + 1)),
+            jitter: SimDuration::from_millis(5),
+            packet_error_rate: ErrorRate::from_prob(0.01 * (1 + l % 2) as f64),
+            bit_error_rate: ErrorRate::ZERO,
+        }
+    }
+
+    /// The aggregate from scratch, written without `derive_credit`.
+    fn brute_credit(ge: &GroupEnd) -> (Option<(u64, u64)>, usize) {
+        let lines: Vec<u64> = ge.receivers().map(|r| r.base_charged + r.freed).collect();
+        let floor = lines.iter().copied().min();
+        let line = floor.map(|f| {
+            let cap = ge.receivers().map(|r| r.capacity).min().expect("non-empty");
+            (f, cap)
+        });
+        let ties = lines.iter().filter(|&&l| Some(l) == floor).count();
+        (line, ties)
+    }
+
+    fn brute_contract(ge: &GroupEnd) -> QosParams {
+        let mut c = level(0);
+        for r in ge.receivers() {
+            c = c.weaken_to(&r.contract);
+        }
+        c
+    }
+
+    proptest! {
+        /// One `GroupEnd` under random interleavings of the four
+        /// membership paths and credit reports — advancing, duplicate,
+        /// stale, and from non-members. After every step the maintained
+        /// floor, tie count and smallest capacity equal a brute-force
+        /// fold, and after every membership change so does the contract
+        /// `recompute_group` would store.
+        #[test]
+        fn group_aggregate_matches_brute_force(
+            ops in proptest::collection::vec((0u8..10, 0u64..NODES + 2, any::<u64>()), 1..200)
+        ) {
+            let mut ge = GroupEnd::new(GroupId(1));
+            let mut charged = 0u64;
+            let mut contract = level(0);
+            for (kind, node, x) in ops {
+                let n = NetAddr(node as u32);
+                let mut membership_changed = true;
+                match kind {
+                    // Invitation only: the member stays pending.
+                    0 if node < NODES && !ge.is_member(n) => ge.invite(addr(node), charged),
+                    // Join confirm (inviting first if need be).
+                    1 | 2 if node < NODES && !ge.receivers.contains_key(&n) => {
+                        if !ge.is_member(n) {
+                            ge.invite(addr(node), charged);
+                        }
+                        let invited = ge.take_pending(n).expect("just invited");
+                        ge.admit(invited, level(x % 4), 1 + x % 8);
+                    }
+                    // Refused join: the invitation is withdrawn.
+                    3 => drop(ge.take_pending(n)),
+                    // Member left / remove receiver: one node, admitted
+                    // or pending.
+                    4 => drop(ge.remove(n)),
+                    // Heal prune: several members lost in one probe, one
+                    // contract derivation after the last.
+                    5 => {
+                        for k in 0..1 + x % 3 {
+                            ge.remove(NetAddr(((node + k) % NODES) as u32));
+                            prop_assert_eq!(ge.credit_line(), brute_credit(&ge).0);
+                        }
+                    }
+                    // A credit report; the sender has charged on since.
+                    _ => {
+                        membership_changed = false;
+                        charged += x % 3;
+                        let known = ge.receivers.get(&n).map(|r| r.freed);
+                        let total = match (known, x % 4) {
+                            (Some(f), 0) => f,                  // duplicate
+                            (Some(f), 1) => (x >> 8) % (f + 1), // stale
+                            (Some(f), _) => f + (x >> 8) % 3,   // 0..2 ahead
+                            (None, _) => x >> 8,                // non-member
+                        };
+                        prop_assert_eq!(ge.credit(n, total), known.is_some());
+                        if let Some(f) = known {
+                            prop_assert_eq!(ge.receivers[&n].freed, f.max(total));
+                        }
+                    }
+                }
+                if membership_changed {
+                    contract = ge.contract(level(0));
+                }
+                let (line, ties) = brute_credit(&ge);
+                prop_assert_eq!(ge.credit_line(), line);
+                prop_assert_eq!(ge.at_floor, ties);
+                prop_assert_eq!(contract, brute_contract(&ge));
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_of_reports_rescans_once() {
+        let mut ge = GroupEnd::new(GroupId(1));
+        for node in 0..64 {
+            ge.invite(addr(node), 0);
+            let invited = ge.take_pending(NetAddr(node as u32)).expect("invited");
+            ge.admit(invited, level(0), 8);
+        }
+        let joined = ge.rescans;
+        for round in 1..=10u64 {
+            for node in 0..64 {
+                // Every member but the last to report leaves the floor
+                // where it is; the credit line moves once per round.
+                assert_eq!(ge.credit_line(), Some((round - 1, 8)));
+                assert!(ge.credit(NetAddr(node), round));
+            }
+            assert_eq!(ge.credit_line(), Some((round, 8)));
+        }
+        assert_eq!(ge.rescans - joined, 10);
     }
 }

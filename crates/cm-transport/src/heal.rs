@@ -341,12 +341,7 @@ impl TransportEntity {
                 let Some(v) = st.vcs.get_mut(&vc) else { return };
                 let tsap = v.local_tsap;
                 let Some(ge) = v.group.as_mut() else { return };
-                let gone = ge
-                    .receivers
-                    .remove(&member)
-                    .map(|r| r.addr)
-                    .or_else(|| ge.pending.remove(&member).map(|p| p.addr));
-                (gone, tsap)
+                (ge.remove(member), tsap)
             };
             if let Some(addr) = gone {
                 self.to_user(tsap, move |svc, u| {

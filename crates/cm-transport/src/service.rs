@@ -359,12 +359,7 @@ impl TransportService {
         st.vcs
             .get(&vc)
             .and_then(|v| v.group.as_ref())
-            .map(|ge| {
-                ge.receivers
-                    .values()
-                    .map(|r| (r.addr, r.contract))
-                    .collect()
-            })
+            .map(|ge| ge.receivers().map(|r| (r.addr, r.contract)).collect())
             .ok_or(ServiceError::UnknownVc)
     }
 
@@ -576,6 +571,16 @@ impl TransportService {
             .and_then(|v| v.source.as_ref())
             .map(|s| (s.charged, s.dropped, s.next_write_seq))
             .ok_or(ServiceError::UnknownVc)
+    }
+
+    /// Test probe for a group VC's sending end: `(freed_remote, full
+    /// floor rescans so far)`. Debug builds only.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn group_credit_probe(&self, vc: VcId) -> Option<(u64, u64)> {
+        let st = self.entity.state.borrow();
+        let v = st.vcs.get(&vc)?;
+        Some((v.source.as_ref()?.freed_remote, v.group.as_ref()?.rescans))
     }
 
     /// Sink-end application delivery point: units popped by the

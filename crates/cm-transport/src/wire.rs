@@ -141,11 +141,7 @@ pub struct TpduHeader {
 }
 
 fn fold_checksum(bytes: &[u8]) -> u16 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = cm_core::hash::fnv1a64(bytes);
     (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
 }
 

@@ -595,3 +595,45 @@ fn group_misuse_is_rejected_synchronously() {
         Err(ServiceError::BadArgument(_))
     ));
 }
+
+// ---------------------------------------------------------------------
+// Feedback cost
+// ---------------------------------------------------------------------
+
+/// 64 receivers, 200 OSDUs written one per round: after each round the
+/// sender's credit line is the slowest member's, and the whole stream
+/// costs one full pass over the receivers per round — not one per
+/// report. (The probe exists in debug builds only.)
+#[cfg(debug_assertions)]
+#[test]
+fn credit_reports_cost_one_rescan_per_round_not_one_per_report() {
+    const RECEIVERS: usize = 64;
+    const ROUNDS: u64 = 200;
+    let w = star(&vec![clean(); RECEIVERS]);
+    let vc = open_group(&w, ServiceClass::cm_default(), telephone_req(), RECEIVERS);
+    let readers: Vec<_> = (0..RECEIVERS)
+        .map(|i| drive_reader(w.svcs[2 + i].clone(), vc))
+        .collect();
+    let (_, joined) = w.svcs[0].group_credit_probe(vc).expect("group source end");
+    for round in 1..=ROUNDS {
+        assert!(w.svcs[0]
+            .write_osdu(vc, Payload::synthetic(round, 80), None)
+            .expect("write"));
+        w.run_ms(40);
+        let slowest = (0..RECEIVERS)
+            .map(|i| w.svcs[2 + i].sink_delivery_point(vc).expect("sink end"))
+            .min()
+            .expect("receivers");
+        let (freed_remote, _) = w.svcs[0].group_credit_probe(vc).expect("probe");
+        assert_eq!(slowest, round, "a member fell behind in round {round}");
+        assert_eq!(freed_remote, slowest, "credit line after round {round}");
+    }
+    assert!(readers.iter().all(|g| g.borrow().len() as u64 == ROUNDS));
+    let (_, rescans) = w.svcs[0].group_credit_probe(vc).expect("probe");
+    let reports = RECEIVERS as u64 * ROUNDS;
+    assert!(
+        rescans - joined <= reports / 32,
+        "{} full rescans for {reports} credit reports",
+        rescans - joined
+    );
+}

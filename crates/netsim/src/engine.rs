@@ -697,11 +697,19 @@ impl Engine {
     /// Execute the next pending event, if any. Returns `false` when the
     /// queue is empty.
     pub fn step(&self) -> bool {
+        self.step_due(u64::MAX)
+    }
+
+    /// Execute the next pending event if its deadline is `<= limit` (µs):
+    /// one scheduler visit decides "is anything due" and extracts it.
+    /// Returns `false` — with the cursor no further than the first deadline
+    /// beyond `limit` — when nothing is.
+    fn step_due(&self, limit: u64) -> bool {
         // Extract without holding the borrow across the action call:
         // actions schedule and cancel freely.
         let (key, at, fired) = {
             let mut core = self.inner.core.borrow_mut();
-            let Some(key) = core.pop_due(u64::MAX) else {
+            let Some(key) = core.pop_due(limit) else {
                 return false;
             };
             let slot = &mut core.slots[key.idx as usize];
@@ -772,13 +780,7 @@ impl Engine {
     pub fn run_until(&self, deadline: SimTime) {
         let (start, before) = (self.now(), self.executed());
         let limit = deadline.as_micros();
-        loop {
-            let due = self.inner.core.borrow_mut().peek_due(limit).is_some();
-            if !due {
-                break;
-            }
-            self.step();
-        }
+        while self.step_due(limit) {}
         self.drain_span(start, before);
         if self.now() < deadline {
             self.inner.now.set(deadline);
@@ -1020,6 +1022,34 @@ mod tests {
         e.run_until(SimTime::from_secs(3));
         assert!(fired.get());
         assert_eq!(e.pending(), 0);
+    }
+
+    #[test]
+    fn run_until_boundary_fires_at_limit_and_parks_the_cursor_there() {
+        let e = Engine::new();
+        let limit = SimTime::from_millis(5);
+        let after = limit + SimDuration::from_micros(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let head = e.schedule_at(SimTime::from_millis(1), |_| panic!("cancelled head fired"));
+        for (tag, at) in [("at_limit", limit), ("after", after)] {
+            let l = log.clone();
+            e.schedule_at(at, move |_| l.borrow_mut().push(tag));
+        }
+        e.cancel(head);
+        e.run_until(limit);
+        assert_eq!(*log.borrow(), ["at_limit"]);
+        assert_eq!(e.now(), limit);
+        // The single visit that found nothing due stopped at `limit`, so an
+        // injection there lands at or ahead of the cursor: no rewind.
+        assert!(e.inner.core.borrow().elapsed <= limit.as_micros());
+        let l = log.clone();
+        e.schedule_at(limit, move |_| l.borrow_mut().push("injected"));
+        e.run_until(limit);
+        assert_eq!(*log.borrow(), ["at_limit", "injected"]);
+        assert_eq!(e.pending(), 1);
+        assert_eq!(e.next_deadline(), Some(after));
+        e.run();
+        assert_eq!(*log.borrow(), ["at_limit", "injected", "after"]);
     }
 
     #[test]

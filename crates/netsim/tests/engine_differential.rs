@@ -1,7 +1,9 @@
 //! Differential test: the timer-wheel engine must produce byte-identical
 //! firing order to a reference binary-heap scheduler (the pre-wheel
 //! implementation) under random schedule / cancel / periodic-arm /
-//! run_until / step sequences.
+//! run_until / step sequences, including back-to-back `run_until` windows
+//! (the shape a barrier-synchronised zone runner and the benchmark's
+//! `run_for` loops drive the engine with).
 //!
 //! The reference keeps the old semantics exactly: a max-heap on inverted
 //! `(at, seq)` plus a tombstone set for cancellations. Equivalence is
@@ -89,6 +91,15 @@ impl RefEngine {
             self.now = deadline;
         }
     }
+
+    /// Deadline of the earliest live event.
+    fn next_deadline(&self) -> Option<u64> {
+        self.heap
+            .iter()
+            .filter(|Reverse((_, seq, _))| self.live.contains(seq))
+            .map(|Reverse((at, _, _))| *at)
+            .min()
+    }
 }
 
 const TIMERS: usize = 4;
@@ -103,6 +114,8 @@ enum Op {
     ArmTimer(usize, u64),
     DisarmTimer(usize),
     RunUntil(u64),
+    /// `count` consecutive `run_until` windows of `width` µs each.
+    Windows(u64, u64),
     Step,
 }
 
@@ -114,6 +127,7 @@ fn decode(kind: u8, a: u64, b: u64) -> Op {
         4 => Op::ArmTimer(a as usize % TIMERS, b % spread),
         5 => Op::DisarmTimer(a as usize % TIMERS),
         6 => Op::RunUntil(a % spread),
+        7 => Op::Windows(1 + a % 6, 1 + b % spread.min(100_000)),
         _ => Op::Step,
     }
 }
@@ -121,7 +135,7 @@ fn decode(kind: u8, a: u64, b: u64) -> Op {
 proptest! {
     #[test]
     fn wheel_matches_reference_heap(
-        raw in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..120)
+        raw in proptest::collection::vec((0u8..9, any::<u64>(), any::<u64>()), 1..120)
     ) {
         let engine = Engine::new();
         let fired: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
@@ -177,6 +191,20 @@ proptest! {
                     engine.run_until(deadline);
                     reference.run_until(deadline.as_micros());
                     prop_assert_eq!(engine.now().as_micros(), reference.now);
+                }
+                Op::Windows(count, width) => {
+                    for _ in 0..count {
+                        let deadline = engine.now() + SimDuration::from_micros(width);
+                        engine.run_until(deadline);
+                        reference.run_until(deadline.as_micros());
+                        prop_assert_eq!(engine.now().as_micros(), reference.now);
+                        prop_assert_eq!(engine.pending(), reference.live.len());
+                        prop_assert_eq!(&*fired.borrow(), &reference.fired);
+                        // Whatever a window leaves pending lies beyond it.
+                        let next = engine.next_deadline().map(|t| t.as_micros());
+                        prop_assert_eq!(next, reference.next_deadline());
+                        prop_assert!(next.is_none_or(|t| t > reference.now));
+                    }
                 }
                 Op::Step => {
                     let stepped = engine.step();

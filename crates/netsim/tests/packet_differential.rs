@@ -14,22 +14,12 @@
 //! mid-flight membership churn (leaf and interior members).
 
 use cm_core::address::{NetAddr, VcId};
+use cm_core::hash::fnv1a64;
 use cm_core::rng::DetRng;
 use cm_core::time::{Bandwidth, SimDuration, SimTime};
 use netsim::{Engine, JitterModel, LinkParams, Network, NodeClock, Packet, PacketClass};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// FNV-1a over the formatted delivery log — compact, dependency-free, and
-/// stable across platforms.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Records every delivery as one formatted line.
 struct Recorder {
@@ -194,8 +184,8 @@ fn same_seed_delivery_order_and_telemetry_are_pinned() {
     assert_eq!(jsonl, jsonl2, "telemetry JSONL not deterministic");
     assert_eq!(counters, counters2);
 
-    let log_fnv = fnv1a(log.as_bytes());
-    let jsonl_fnv = fnv1a(jsonl.as_bytes());
+    let log_fnv = fnv1a64(log.as_bytes());
+    let jsonl_fnv = fnv1a64(jsonl.as_bytes());
     assert!(
         log_fnv == GOLDEN_DELIVERY_FNV
             && jsonl_fnv == GOLDEN_JSONL_FNV
