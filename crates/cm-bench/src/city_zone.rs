@@ -2,7 +2,8 @@
 //! wide-area envelopes under the `cm-cluster` barrier protocol.
 //!
 //! Each zone is a full private stack — engine, star network
-//! (`nodes_per_zone` leaves + one relay leaf + hub), platform, session —
+//! (hub, `nodes_per_zone` leaves, and a relay leaf when there are other
+//! zones — see `ZonePlan::leaves_per_zone`), platform, session —
 //! replaying its slice of a [`ZonePlan`]. Cross-zone rooms keep their
 //! real room in the home zone; an egress tap on the published VC
 //! captures each OSDU at its write call and forwards it as [`CityWire`]
@@ -18,10 +19,15 @@
 //! (`CityConfig::zones`), never of the execution, so the same seeded
 //! config produces byte-identical per-zone telemetry — and a
 //! byte-identical [`merge_jsonl`] stream — for any worker-thread count.
+//!
+//! The flat city ([`crate::city_run`]) is this executor's one-zone case:
+//! zone 0 of a `zones: 1` plan, drained on the calling thread. There is
+//! one replay interpreter, so the two worlds cannot drift apart.
 
-use crate::city_run::{profile_of, CityStats};
-use cm_cluster::{run_cluster, ClusterConfig, Envelope, LookaheadMatrix, RoundMode, ZoneWorker};
+use crate::city_run::CityStats;
+use cm_cluster::{run_cluster, ClusterConfig, Envelope, LookaheadMatrix, ZoneWorker};
 use cm_core::address::{NetAddr, VcId};
+use cm_core::media::MediaProfile;
 use cm_core::osdu::{Osdu, Payload};
 use cm_core::qos::{GuaranteeMode, QosRequirement};
 use cm_core::rng::DetRng;
@@ -296,9 +302,8 @@ impl ZRt {
     /// Stage one envelope to every guest zone of `room`.
     fn send_to_guests(&self, room: u32, body: CityWire) {
         let deliver_at = self.engine.now().as_micros() + self.plan.wan_latency_ms.max(1) * 1_000;
-        let info = &self.plan.rooms[room as usize];
         let mut out = self.outbound.borrow_mut();
-        for &g in &info.guests {
+        for &g in self.plan.guests(room) {
             out.push(Envelope::to(g, deliver_at, body));
             self.wan_out_msgs.set(self.wan_out_msgs.get() + 1);
             if let CityWire::Media { len, .. } = body {
@@ -381,8 +386,8 @@ impl ZRt {
 }
 
 /// Schedule the batch of zone events starting at `idx` (all sharing one
-/// fire time); each batch arms the next, exactly like the flat city
-/// executor.
+/// fire time); each batch arms the next, so the timer wheel only ever
+/// holds one schedule cursor.
 fn arm_batch(engine: &Engine, rt: Rc<ZRt>, idx: usize) {
     let events = &rt.plan.per_zone[rt.zone as usize].events;
     let Some(first) = events.get(idx) else {
@@ -512,7 +517,7 @@ fn execute_city(engine: &Engine, rt: &Rc<ZRt>, ev: CityEvent) {
             let Some(svc) = r.stream_service("main") else {
                 return;
             };
-            if !rt.plan.rooms[room as usize].guests.is_empty() {
+            if !rt.plan.guests(room).is_empty() {
                 // Announce the stream to every guest zone within the
                 // `Publish` execution itself — the enabling event the
                 // emission bound is anchored to — and capture the
@@ -541,6 +546,10 @@ fn execute_city(engine: &Engine, rt: &Rc<ZRt>, ev: CityEvent) {
             let size = profile.nominal_osdu_size;
             let every = profile.osdu_rate.interval();
             let rt2 = rt.clone();
+            // Give the graft handshake a beat before the first write, then
+            // produce at the media rate — the contracted pace; writing
+            // faster than the negotiated rate backlogs the send buffer
+            // and blows the stream's own deadline (the auditor flags it).
             engine.schedule_in(SimDuration::from_millis(100), move |_| {
                 paced_writes(&rt2, svc, vc, room, 0, writes, size, every);
             });
@@ -570,9 +579,18 @@ fn execute_city(engine: &Engine, rt: &Rc<ZRt>, ev: CityEvent) {
     }
 }
 
+fn profile_of(media: CityMedia) -> MediaProfile {
+    match media {
+        CityMedia::AudioTelephone => MediaProfile::audio_telephone(),
+        CityMedia::TextCaptions => MediaProfile::text_captions(),
+        CityMedia::VideoMono => MediaProfile::video_mono(),
+    }
+}
+
 /// Write one OSDU every `every` of simulated time (the media rate) until
-/// `total` are out, parking on the send buffer when full — same pacing
-/// as the flat city.
+/// `total` are out, parking on the send buffer when it is full. Stops
+/// silently if the VC dies under us (the room closed before the writes
+/// finished).
 #[allow(clippy::too_many_arguments)]
 fn paced_writes(
     rt: &Rc<ZRt>,
@@ -616,15 +634,17 @@ fn paced_writes(
     }
 }
 
-/// One zone's stack, driven by the cluster runner.
+/// One zone's stack, driven by the cluster runner — or, for the flat
+/// city, drained directly on the calling thread.
 pub struct ZoneCityWorker {
     engine: Engine,
+    platform: Platform,
     rt: Rc<ZRt>,
 }
 
 impl ZoneCityWorker {
     /// Build zone `zone`'s world and arm its schedule. Runs on the
-    /// worker thread that will own the zone.
+    /// thread that will own the zone.
     pub fn build(
         cfg: &CityConfig,
         plan: Arc<ZonePlan>,
@@ -641,7 +661,7 @@ impl ZoneCityWorker {
         let mut rng = DetRng::from_seed(cfg.seed ^ 0x5ca1_ab1e ^ ((zone as u64) << 48));
         let hub = net.add_node(NodeClock::perfect());
         let link = LinkParams::clean(Bandwidth::mbps(100), SimDuration::from_millis(1));
-        let nodes: Vec<NetAddr> = (0..=plan.nodes_per_zone)
+        let nodes: Vec<NetAddr> = (0..plan.leaves_per_zone())
             .map(|_| {
                 let n = net.add_node(NodeClock::perfect());
                 net.add_duplex(hub, n, link.clone(), &mut rng);
@@ -699,11 +719,37 @@ impl ZoneCityWorker {
             rooms_active_peak: Cell::new(0),
         });
         arm_batch(&engine, rt.clone(), 0);
-        ZoneCityWorker { engine, rt }
+        ZoneCityWorker {
+            engine,
+            platform,
+            rt,
+        }
     }
-}
 
-impl ZoneCityWorker {
+    /// The zone-local counters as they stand.
+    fn stats(&self) -> CityStats {
+        let rt = &self.rt;
+        CityStats {
+            rooms_opened: rt.rooms_opened.get(),
+            joins_ok: rt.joins_ok.get(),
+            joins_denied: rt.joins_denied.get(),
+            published: rt.published.get(),
+            osdus_written: rt.osdus_written.get(),
+            bytes_written: rt.bytes_written.get(),
+            osdus_delivered: rt.member.osdus.get(),
+            bytes_delivered: rt.member.bytes.get(),
+            events_executed: self.engine.executed(),
+            sim_ms: self.engine.now().as_micros() / 1_000,
+        }
+    }
+
+    /// Run a zone nothing else can reach — the flat city's only zone —
+    /// until its engine drains, and hand back the drained world.
+    pub(crate) fn drain(self) -> (CityStats, Platform, Obs) {
+        self.engine.run();
+        (self.stats(), self.platform, self.rt.obs.clone())
+    }
+
     /// Deliver every queued wide-area envelope due at exactly `t_us`
     /// (the engine clock must already be there), in arrival order.
     fn deliver_wan_at(&self, t_us: u64) {
@@ -791,7 +837,7 @@ impl ZoneWorker for ZoneCityWorker {
         // the instant, zero-delay follow-ups picked up by the next
         // pass). Same-instant ordering is local-events-first, then
         // envelopes in arrival order — deterministic for any worker
-        // count and either barrier protocol.
+        // count.
         loop {
             let next_wan = self
                 .rt
@@ -843,18 +889,7 @@ impl ZoneWorker for ZoneCityWorker {
 
     fn finish(self) -> ZoneCityReport {
         let rt = &self.rt;
-        let stats = CityStats {
-            rooms_opened: rt.rooms_opened.get(),
-            joins_ok: rt.joins_ok.get(),
-            joins_denied: rt.joins_denied.get(),
-            published: rt.published.get(),
-            osdus_written: rt.osdus_written.get(),
-            bytes_written: rt.bytes_written.get(),
-            osdus_delivered: rt.member.osdus.get(),
-            bytes_delivered: rt.member.bytes.get(),
-            events_executed: self.engine.executed(),
-            sim_ms: self.engine.now().as_micros() / 1_000,
-        };
+        let stats = self.stats();
         let tel = self.engine.telemetry();
         let telemetry_jsonl = tel.enabled().then(|| tel.export_jsonl());
         let obs_report = rt.obs.enabled().then(|| {
@@ -898,25 +933,6 @@ pub fn run_city_cluster_schedule(
     workers: usize,
     telemetry_capacity: Option<usize>,
 ) -> ClusterCityStats {
-    run_city_cluster_mode(
-        cfg,
-        schedule,
-        workers,
-        telemetry_capacity,
-        RoundMode::Adaptive,
-    )
-}
-
-/// As [`run_city_cluster_schedule`], but choosing the round protocol —
-/// [`RoundMode::Classic`] keeps the original two-barrier global-window
-/// loop alive for A/B overhead measurement.
-pub fn run_city_cluster_mode(
-    cfg: &CityConfig,
-    schedule: &CitySchedule,
-    workers: usize,
-    telemetry_capacity: Option<usize>,
-    mode: RoundMode,
-) -> ClusterCityStats {
     let plan = Arc::new(ZonePlan::partition(cfg, schedule));
     let wan_us = plan.wan_latency_ms.max(1) * 1_000;
     // Envelopes only flow home → guest, so the lookahead matrix has an
@@ -928,10 +944,8 @@ pub fn run_city_cluster_mode(
     }
     let cluster_cfg = ClusterConfig {
         workers,
-        lookahead_us: wan_us,
         max_rounds: 50_000_000,
-        mode,
-        matrix: Some(matrix),
+        matrix,
     };
     let builders: Vec<_> = (0..plan.zones)
         .map(|z| {
@@ -1029,51 +1043,5 @@ mod tests {
         // And the two runs really did use different thread counts.
         assert_eq!(one.workers, 1);
         assert_eq!(four.workers, 4);
-    }
-
-    #[test]
-    fn adaptive_mode_matches_classic_and_cuts_rounds() {
-        let cfg = small();
-        let schedule = CitySchedule::generate(&cfg);
-        let classic = run_city_cluster_mode(&cfg, &schedule, 1, Some(1 << 14), RoundMode::Classic);
-        let adaptive =
-            run_city_cluster_mode(&cfg, &schedule, 1, Some(1 << 14), RoundMode::Adaptive);
-        // Same simulation, different round partitioning. (Total engine
-        // callback counts are *not* compared: zero-effect internal
-        // wakeups may land differently around same-tick boundaries.)
-        assert_eq!(classic.agg.rooms_opened, adaptive.agg.rooms_opened);
-        assert_eq!(classic.agg.joins_ok, adaptive.agg.joins_ok);
-        assert_eq!(classic.agg.published, adaptive.agg.published);
-        assert_eq!(classic.agg.osdus_written, adaptive.agg.osdus_written);
-        assert_eq!(classic.wan_msgs, adaptive.wan_msgs);
-        assert_eq!(classic.wan_bytes, adaptive.wan_bytes);
-        assert_eq!(classic.agg.osdus_delivered, adaptive.agg.osdus_delivered);
-        assert_eq!(classic.agg.bytes_delivered, adaptive.agg.bytes_delivered);
-        // `engine.drain` spans and the `engine.events_drained` counter
-        // trace run_until batches and their internal wakeups, which
-        // legally differ between round protocols; everything else —
-        // every session/transport/packet event, timestamped — must be
-        // identical.
-        let strip = |s: &Option<String>| -> String {
-            s.as_deref()
-                .unwrap_or_default()
-                .lines()
-                .filter(|l| {
-                    !l.contains("\"engine.drain\"") && !l.contains("\"engine.events_drained\"")
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            strip(&classic.merged_jsonl),
-            strip(&adaptive.merged_jsonl),
-            "round protocol must not leak into the simulation"
-        );
-        assert!(
-            adaptive.rounds * 2 <= classic.rounds,
-            "adaptive windows must collapse rounds ≥2× (classic {} vs adaptive {})",
-            classic.rounds,
-            adaptive.rounds
-        );
     }
 }

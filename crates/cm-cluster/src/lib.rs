@@ -17,9 +17,7 @@
 //! window. Outbound cross-zone messages are drained into per-zone
 //! mailboxes, exchanged at the round's single barrier, and re-injected
 //! sorted by `(deliver_time, src_zone, seq)`, so the merged execution
-//! is byte-identical for any worker count, including one. The original
-//! two-barrier global-window protocol survives as
-//! [`RoundMode::Classic`] for A/B measurement.
+//! is byte-identical for any worker count, including one.
 //!
 //! The runner is engine-agnostic: anything implementing [`ZoneWorker`]
 //! can ride it, which keeps this crate dependency-free and lets the
@@ -29,6 +27,4 @@ mod envelope;
 mod runner;
 
 pub use envelope::Envelope;
-pub use runner::{
-    run_cluster, ClusterConfig, ClusterReport, LookaheadMatrix, RoundMode, ZoneWorker,
-};
+pub use runner::{run_cluster, ClusterConfig, ClusterReport, LookaheadMatrix, ZoneWorker};

@@ -1,17 +1,9 @@
 //! The barrier-tick shard runner.
 //!
-//! Two round protocols share one worker pool, selected by
-//! [`ClusterConfig::mode`]:
-//!
-//! **Classic** (the PR 8 protocol, kept for A/B measurement): two full
-//! [`Barrier`] waits per round, a single global window
-//! `W = min next-deadline + scalar lookahead`, every zone driven every
-//! round.
-//!
-//! **Adaptive** (the default): one `Barrier` wait per round, per-zone
-//! windows from a per-pair lookahead matrix, and idle-zone fast paths.
-//! The round, identical on every worker thread (each worker owns the
-//! zones `w, w + workers, w + 2·workers, …`, visited in ascending id):
+//! One round protocol: one [`Barrier`] wait per round, per-zone windows
+//! from a per-pair lookahead matrix, and idle-zone fast paths. The
+//! round, identical on every worker thread (each worker owns the zones
+//! `w, w + workers, w + 2·workers, …`, visited in ascending id):
 //!
 //! 1. **Gather + publish** — for each owned zone whose mailbox flag is
 //!    raised, take the mailbox, sort the envelopes by
@@ -21,8 +13,8 @@
 //!    the release store that makes `(T, E)` visible.
 //! 2. **Spin** — wait (spin, then yield) until every zone's slot
 //!    carries this round's sequence, then read all `(T, E)` pairs.
-//!    This replaces the first barrier of the classic protocol: the
-//!    sequence stamp is the only publication order that matters.
+//!    No barrier is needed here: the sequence stamp is the only
+//!    publication order that matters.
 //!    Every worker now computes the same decisions from the same
 //!    values: if every `T` is `u64::MAX` the cluster is drained
 //!    (mailboxes were injected *before* deadlines were published, so an
@@ -69,9 +61,7 @@
 //! a global reduction each worker computes identically from the
 //! published slots, and each zone's window execution is
 //! single-threaded on whichever worker owns it. Merged results are
-//! byte-identical for any worker count — within a protocol; Classic
-//! and Adaptive may partition the same execution into different
-//! windows (delivery *times* still agree, see the tests).
+//! byte-identical for any worker count.
 
 use crate::envelope::Envelope;
 use std::cell::Cell;
@@ -140,18 +130,6 @@ pub trait ZoneWorker {
     fn finish(self) -> Self::Report;
 }
 
-/// Which round protocol drives the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundMode {
-    /// PR 8's two-barrier protocol: one global window
-    /// `min next-deadline + scalar lookahead` per round, every zone
-    /// driven every round. Kept as the measurement baseline.
-    Classic,
-    /// Single-barrier protocol with per-zone adaptive windows from the
-    /// lookahead matrix and idle-zone fast paths.
-    Adaptive,
-}
-
 /// Per-zone-pair conservative lookahead, microseconds.
 ///
 /// `get(src, dst)` is the minimum simulated time between zone `src`
@@ -168,8 +146,7 @@ pub struct LookaheadMatrix {
 
 impl LookaheadMatrix {
     /// Every pair (the diagonal included, for self-addressed
-    /// envelopes) at the same lookahead — the matrix equivalent of the
-    /// classic scalar.
+    /// envelopes) at the same lookahead.
     pub fn uniform(zones: usize, lookahead_us: u64) -> LookaheadMatrix {
         LookaheadMatrix {
             zones,
@@ -190,16 +167,29 @@ impl LookaheadMatrix {
         self.zones
     }
 
+    /// Flat index of the `src → dst` entry. Both ends must be zones of
+    /// this matrix: an out-of-range `dst` would silently alias another
+    /// pair.
+    fn index(&self, src: u32, dst: u32) -> usize {
+        let (src, dst) = (src as usize, dst as usize);
+        assert!(
+            src < self.zones && dst < self.zones,
+            "lookahead pair {src} → {dst} outside a {}-zone matrix",
+            self.zones
+        );
+        src * self.zones + dst
+    }
+
     /// Declare (or tighten) the `src → dst` edge.
     pub fn set(&mut self, src: u32, dst: u32, lookahead_us: u64) {
-        let i = src as usize * self.zones + dst as usize;
+        let i = self.index(src, dst);
         self.lat[i] = self.lat[i].min(lookahead_us);
     }
 
     /// The `src → dst` lookahead, `u64::MAX` when the pair never
     /// communicates.
     pub fn get(&self, src: u32, dst: u32) -> u64 {
-        self.lat[src as usize * self.zones + dst as usize]
+        self.lat[self.index(src, dst)]
     }
 
     /// Min-plus closure: `closure[j][z]` = the least total lookahead
@@ -233,30 +223,11 @@ impl LookaheadMatrix {
 pub struct ClusterConfig {
     /// Worker threads to spread the zones over. Clamped to `1..=zones`.
     pub workers: usize,
-    /// Scalar lookahead, microseconds: the classic-mode window width,
-    /// and the uniform-matrix fallback when [`matrix`](Self::matrix)
-    /// is `None`.
-    pub lookahead_us: u64,
     /// Hard cap on barrier rounds; the run aborts beyond it. A cluster
     /// that needs this many rounds is livelocked, not busy.
     pub max_rounds: u64,
-    /// Round protocol; [`RoundMode::Adaptive`] unless A/B-measuring.
-    pub mode: RoundMode,
-    /// Per-pair lookahead (adaptive mode only). `None` means
-    /// [`LookaheadMatrix::uniform`] over `lookahead_us`.
-    pub matrix: Option<LookaheadMatrix>,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            workers: 1,
-            lookahead_us: 1_000,
-            max_rounds: 10_000_000,
-            mode: RoundMode::Adaptive,
-            matrix: None,
-        }
-    }
+    /// Per-pair lookahead; must describe exactly the cluster's zones.
+    pub matrix: LookaheadMatrix,
 }
 
 /// What one cluster run produced.
@@ -285,9 +256,8 @@ pub struct ClusterReport<R> {
     /// Cross-zone envelopes routed over the whole run.
     pub envelopes_routed: u64,
     /// Envelope buffer growth events (a mailbox, staging or routing
-    /// `Vec` had to reallocate). The adaptive protocol reuses every
-    /// buffer, so this should flatline after warm-up; classic pays one
-    /// per refilled mailbox per round.
+    /// `Vec` had to reallocate). Every buffer is reused across rounds,
+    /// so this should flatline after warm-up.
     pub envelope_allocs: u64,
 }
 
@@ -319,23 +289,10 @@ struct Shared<M> {
     /// Per-zone coordination slots.
     slots: Vec<Slot>,
     barrier: Barrier,
-    /// Adaptive mode: a worker failed or hit the round cap; checked
-    /// right after the round's single barrier, so every worker acts on
-    /// it at the same aligned point.
+    /// A worker failed or hit the round cap; checked right after the
+    /// round's single barrier, so every worker acts on it at the same
+    /// aligned point.
     abort: AtomicBool,
-    /// Classic mode: a worker failed during the gather phase; checked
-    /// right after the first barrier so everyone leaves together.
-    ///
-    /// Two flags, one per phase, deliberately: a single flag would let
-    /// a fast worker set it mid-phase-2 and a slow worker observe it at
-    /// its post-phase-1 check of the *same* round — the slow worker
-    /// would exit before the second barrier and strand the fast one
-    /// there. Each flag is only raised in its own phase and only read
-    /// at the barrier that closes that phase.
-    abort_gather: AtomicBool,
-    /// Classic mode: a worker panicked or hit the round cap during the
-    /// run phase; checked right after the second barrier.
-    abort_run: AtomicBool,
 }
 
 struct WorkerDone<R> {
@@ -357,7 +314,7 @@ enum WorkerExit<R> {
 /// Render the per-zone coordination state — every zone's published
 /// next-deadline/next-emission and its computed window — so a livelock
 /// or lookahead misconfiguration is diagnosable from the panic alone.
-fn diag_table(slots: &[Slot], windows: Option<&[u64]>) -> String {
+fn diag_table(slots: &[Slot], windows: &[u64]) -> String {
     fn t(v: u64) -> String {
         if v == u64::MAX {
             "-".into()
@@ -367,11 +324,11 @@ fn diag_table(slots: &[Slot], windows: Option<&[u64]>) -> String {
     }
     let mut s = String::new();
     for (z, slot) in slots.iter().enumerate() {
-        let w = windows.map(|w| t(w[z])).unwrap_or_else(|| "?".into());
         s.push_str(&format!(
-            "\n  zone {z}: next_deadline={} next_emission={} window={w}",
+            "\n  zone {z}: next_deadline={} next_emission={} window={}",
             t(slot.t.load(Ordering::Relaxed)),
             t(slot.e.load(Ordering::Relaxed)),
+            t(windows[z]),
         ));
     }
     s
@@ -394,14 +351,15 @@ fn append_counted<T>(dst: &mut Vec<T>, src: &mut Vec<T>, allocs: &mut u64) {
 /// builders are consumed in zone-id order, zone `z` going to worker
 /// `z % workers`. The run is deterministic in everything except the
 /// wall-clock fields of the report: same zones, same lookahead
-/// configuration, same mode → same merged execution for any `workers`.
+/// matrix → same merged execution for any `workers`.
 ///
 /// # Panics
 ///
 /// Propagates the first worker panic, and panics — with a per-zone
 /// deadline/window dump — if `cfg.max_rounds` is exceeded, a worker
 /// emits an envelope violating the lookahead bound, or an envelope is
-/// routed over a pair the matrix declares silent.
+/// addressed to a zone the cluster does not have or routed over a pair
+/// the matrix declares silent.
 pub fn run_cluster<W, F>(builders: Vec<F>, cfg: &ClusterConfig) -> ClusterReport<W::Report>
 where
     W: ZoneWorker,
@@ -410,18 +368,13 @@ where
     let zones = builders.len();
     assert!(zones > 0, "run_cluster needs at least one zone");
     let workers = cfg.workers.clamp(1, zones);
-    let matrix = match &cfg.matrix {
-        Some(m) => {
-            assert_eq!(
-                m.zones(),
-                zones,
-                "lookahead matrix is {}-zone but the cluster has {zones}",
-                m.zones()
-            );
-            m.clone()
-        }
-        None => LookaheadMatrix::uniform(zones, cfg.lookahead_us),
-    };
+    let matrix = &cfg.matrix;
+    assert_eq!(
+        matrix.zones(),
+        zones,
+        "lookahead matrix is {}-zone but the cluster has {zones}",
+        matrix.zones()
+    );
     let dist = matrix.closure();
     let shared = Shared {
         mailboxes: (0..zones)
@@ -439,8 +392,6 @@ where
             .collect(),
         barrier: Barrier::new(workers),
         abort: AtomicBool::new(false),
-        abort_gather: AtomicBool::new(false),
-        abort_run: AtomicBool::new(false),
     };
 
     // Deal builders round-robin: worker w gets zones w, w+workers, …
@@ -454,13 +405,8 @@ where
         let mut handles = Vec::with_capacity(workers);
         for deck in decks {
             let shared = &shared;
-            let cfg = cfg.clone();
-            let matrix = &matrix;
             let dist = &dist;
-            handles.push(scope.spawn(move || match cfg.mode {
-                RoundMode::Classic => worker_loop_classic(deck, shared, &cfg),
-                RoundMode::Adaptive => worker_loop_adaptive(deck, shared, &cfg, matrix, dist),
-            }));
+            handles.push(scope.spawn(move || worker_loop(deck, shared, cfg, dist)));
         }
         handles
             .into_iter()
@@ -553,11 +499,10 @@ struct Owned<W> {
     dirty: bool,
 }
 
-fn worker_loop_adaptive<W, F>(
+fn worker_loop<W, F>(
     deck: Vec<(usize, F)>,
     shared: &Shared<W::Msg>,
     cfg: &ClusterConfig,
-    matrix: &LookaheadMatrix,
     dist: &[u64],
 ) -> WorkerExit<W::Report>
 where
@@ -688,11 +633,18 @@ where
                     for mut env in staging.drain(..) {
                         let dst = env.dst_zone as usize;
                         assert!(
-                            matrix.get(o.zone as u32, env.dst_zone) != u64::MAX,
+                            dst < zones,
+                            "zone {} routed an envelope to zone {dst}, but the cluster has \
+                             {zones} zones; per-zone state:{}",
+                            o.zone,
+                            diag_table(&shared.slots, &w_all),
+                        );
+                        assert!(
+                            cfg.matrix.get(o.zone as u32, env.dst_zone) != u64::MAX,
                             "zone {} routed an envelope to zone {dst}, but the lookahead \
                              matrix declares that pair silent; per-zone state:{}",
                             o.zone,
-                            diag_table(&shared.slots, Some(&w_all)),
+                            diag_table(&shared.slots, &w_all),
                         );
                         assert!(
                             env.deliver_at_us >= w_all[dst],
@@ -701,7 +653,7 @@ where
                             o.zone,
                             env.deliver_at_us,
                             w_all[dst],
-                            diag_table(&shared.slots, Some(&w_all)),
+                            diag_table(&shared.slots, &w_all),
                         );
                         env.src_zone = o.zone as u32;
                         env.seq = o.seq;
@@ -734,7 +686,7 @@ where
             return match step {
                 Err(p) => WorkerExit::Panicked(p),
                 Ok(()) if rounds >= cfg.max_rounds => {
-                    WorkerExit::RoundLimit(diag_table(&shared.slots, Some(&w_all)))
+                    WorkerExit::RoundLimit(diag_table(&shared.slots, &w_all))
                 }
                 Ok(()) => WorkerExit::Aborted,
             };
@@ -742,127 +694,6 @@ where
     }
 
     let reports = owned.into_iter().map(|o| (o.zone, o.w.finish())).collect();
-    WorkerExit::Done(WorkerDone {
-        reports,
-        busy_per_round,
-        sync_us,
-        routed,
-        allocs,
-    })
-}
-
-fn worker_loop_classic<W, F>(
-    deck: Vec<(usize, F)>,
-    shared: &Shared<W::Msg>,
-    cfg: &ClusterConfig,
-) -> WorkerExit<W::Report>
-where
-    W: ZoneWorker,
-    F: FnOnce() -> W,
-{
-    // Build the zone stacks on this thread — they never leave it.
-    let mut zones: Vec<(usize, W)> = deck.into_iter().map(|(z, b)| (z, b())).collect();
-    let mut seqs: Vec<u64> = vec![0; zones.len()];
-    let mut staging: Vec<Envelope<W::Msg>> = Vec::new();
-    let mut busy_per_round: Vec<u64> = Vec::new();
-    let mut sync_us = 0u64;
-    let mut routed = 0u64;
-    let mut allocs = 0u64;
-    let mut rounds = 0u64;
-
-    loop {
-        // Phase 1: gather + inject + publish deadlines.
-        let busy_start = Instant::now();
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            for (z, w) in zones.iter_mut() {
-                let mut inbox = std::mem::take(&mut *shared.mailboxes[*z].queue.lock().unwrap());
-                inbox.sort_by_key(Envelope::order_key);
-                for env in inbox {
-                    w.inject(env);
-                }
-                let next = w.next_deadline_us().unwrap_or(u64::MAX);
-                shared.slots[*z].t.store(next, Ordering::SeqCst);
-            }
-        }));
-        let gather_busy = busy_start.elapsed().as_micros() as u64;
-        if step.is_err() {
-            shared.abort_gather.store(true, Ordering::SeqCst);
-        }
-        let bar_start = Instant::now();
-        shared.barrier.wait();
-        sync_us += bar_start.elapsed().as_micros() as u64;
-        if shared.abort_gather.load(Ordering::SeqCst) {
-            return match step {
-                Err(p) => WorkerExit::Panicked(p),
-                Ok(()) => WorkerExit::Aborted,
-            };
-        }
-
-        // Every worker computes the same global minimum.
-        let m = shared
-            .slots
-            .iter()
-            .map(|s| s.t.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(u64::MAX);
-        if m == u64::MAX {
-            break;
-        }
-        let window_end = m.saturating_add(cfg.lookahead_us);
-
-        // Phase 2: run the window, drain + route outbound.
-        let round_start = Instant::now();
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            for ((z, w), seq) in zones.iter_mut().zip(seqs.iter_mut()) {
-                w.run_until_us(window_end);
-                w.drain_outbound(&mut staging);
-                for mut env in staging.drain(..) {
-                    assert!(
-                        env.deliver_at_us >= window_end,
-                        "zone {z} emitted an envelope for t={} inside its own \
-                         window (barrier tick {window_end}) — lookahead bound violated; \
-                         per-zone state:{}",
-                        env.deliver_at_us,
-                        diag_table(&shared.slots, None),
-                    );
-                    env.src_zone = *z as u32;
-                    env.seq = *seq;
-                    *seq += 1;
-                    routed += 1;
-                    let mut q = shared.mailboxes[env.dst_zone as usize]
-                        .queue
-                        .lock()
-                        .unwrap();
-                    if q.len() == q.capacity() {
-                        allocs += 1;
-                    }
-                    q.push(env);
-                }
-            }
-        }));
-        busy_per_round.push(gather_busy + round_start.elapsed().as_micros() as u64);
-        if step.is_err() {
-            shared.abort_run.store(true, Ordering::SeqCst);
-        }
-        rounds += 1;
-        if rounds >= cfg.max_rounds {
-            shared.abort_run.store(true, Ordering::SeqCst);
-        }
-        let bar_start = Instant::now();
-        shared.barrier.wait();
-        sync_us += bar_start.elapsed().as_micros() as u64;
-        if shared.abort_run.load(Ordering::SeqCst) {
-            return match step {
-                Err(p) => WorkerExit::Panicked(p),
-                Ok(()) if rounds >= cfg.max_rounds => {
-                    WorkerExit::RoundLimit(diag_table(&shared.slots, None))
-                }
-                Ok(()) => WorkerExit::Aborted,
-            };
-        }
-    }
-
-    let reports = zones.into_iter().map(|(z, w)| (z, w.finish())).collect();
     WorkerExit::Done(WorkerDone {
         reports,
         busy_per_round,
@@ -975,80 +806,38 @@ mod tests {
             .collect()
     }
 
-    fn run_ring(workers: usize, zones: u32, mode: RoundMode) -> Vec<ToyReport> {
-        let cfg = ClusterConfig {
+    /// The lookahead-500 config every toy cluster below starts from.
+    fn cfg(workers: usize, zones: usize, max_rounds: u64) -> ClusterConfig {
+        ClusterConfig {
             workers,
-            lookahead_us: 500,
-            max_rounds: 10_000,
-            mode,
-            matrix: None,
-        };
-        run_cluster(ring(zones, 500, 10), &cfg).reports
+            max_rounds,
+            matrix: LookaheadMatrix::uniform(zones, 500),
+        }
+    }
+
+    fn run_ring(workers: usize, zones: u32) -> Vec<ToyReport> {
+        run_cluster(ring(zones, 500, 10), &cfg(workers, zones as usize, 10_000)).reports
     }
 
     #[test]
     fn ring_is_worker_count_invariant() {
-        for mode in [RoundMode::Classic, RoundMode::Adaptive] {
-            let one = run_ring(1, 4, mode);
-            for workers in [2, 3, 4, 8] {
-                assert_eq!(
-                    run_ring(workers, 4, mode),
-                    one,
-                    "workers={workers} diverged in {mode:?}"
-                );
-            }
-            // The ping actually made its hops: zone 1 heard it at 600, 2600, …
-            assert_eq!(one[1].injected[0].0, 600);
-            assert_eq!(one[2].injected[0].0, 1100);
+        let one = run_ring(1, 4);
+        for workers in [2, 3, 4, 8] {
+            assert_eq!(run_ring(workers, 4), one, "workers={workers} diverged");
         }
-    }
-
-    #[test]
-    fn classic_and_adaptive_fire_the_same_events() {
-        // The protocols partition time differently (so clocks at
-        // injection may differ) but every event fires at the same
-        // simulated instant, in the same order.
-        let classic = run_ring(2, 4, RoundMode::Classic);
-        let adaptive = run_ring(2, 4, RoundMode::Adaptive);
-        for (c, a) in classic.iter().zip(adaptive.iter()) {
-            assert_eq!(c.fired, a.fired);
-            let deliver = |r: &ToyReport| r.injected.iter().map(|&(d, _)| d).collect::<Vec<_>>();
-            assert_eq!(deliver(c), deliver(a));
-        }
+        // The ping actually made its hops: zone 1 heard it at 600, 2600, …
+        assert_eq!(one[1].injected[0].0, 600);
+        assert_eq!(one[2].injected[0].0, 1100);
     }
 
     #[test]
     fn barrier_edge_delivery_lands_on_the_correct_side() {
-        // Zone 0's seed fires at t=100; with lookahead 500 the classic
-        // first window is exactly [0, 600], and the ping to zone 1 is
-        // timed to land at t = 100 + 500 = 600 — precisely ON the
-        // barrier tick. The conservative contract: it must be exchanged
-        // at the barrier and fire at sim time 600 in the NEXT window.
-        let cfg = ClusterConfig {
-            workers: 2,
-            lookahead_us: 500,
-            max_rounds: 1_000,
-            mode: RoundMode::Classic,
-            matrix: None,
-        };
-        let reports = run_cluster(ring(2, 500, 1), &cfg).reports;
-        let (deliver_at, clock_at_injection) = reports[1].injected[0];
-        assert_eq!(deliver_at, 600, "delivery time must be preserved exactly");
-        assert_eq!(
-            clock_at_injection, 600,
-            "the classic receiver must already stand at the barrier tick"
-        );
-        assert_eq!(reports[1].fired, vec![600], "the ping fires at 600");
-
-        // Adaptive keeps the semantic half of the contract: the
-        // delivery time is preserved and never lands in the receiver's
-        // past — but an idle receiver's clock may lag the tick (it
-        // skipped the drive entirely).
-        let cfg = ClusterConfig {
-            mode: RoundMode::Adaptive,
-            ..cfg
-        };
-        let reports = run_cluster(ring(2, 500, 1), &cfg).reports;
+        // Zone 0's seed fires at t=100 and the ping to zone 1 is timed
+        // to land at t = 100 + 500 = 600 — precisely on the edge of
+        // zone 1's first window. The delivery time is preserved exactly
+        // and never lands in the receiver's past (an idle receiver's
+        // clock may lag the edge: it skipped the drive entirely).
+        let reports = run_cluster(ring(2, 500, 1), &cfg(2, 2, 1_000)).reports;
         let (deliver_at, clock_at_injection) = reports[1].injected[0];
         assert_eq!(deliver_at, 600, "delivery time must be preserved exactly");
         assert!(
@@ -1060,11 +849,7 @@ mod tests {
 
     #[test]
     fn drained_cluster_terminates_and_reports_in_zone_order() {
-        let cfg = ClusterConfig {
-            lookahead_us: 500,
-            ..ClusterConfig::default()
-        };
-        let report = run_cluster(ring(3, 500, 5), &cfg);
+        let report = run_cluster(ring(3, 500, 5), &cfg(1, 3, 10_000));
         assert_eq!(report.reports.len(), 3);
         assert_eq!(report.workers, 1);
         assert!(report.rounds > 0);
@@ -1166,44 +951,41 @@ mod tests {
         ]
     }
 
-    fn stretch_cfg(mode: RoundMode, workers: usize) -> ClusterConfig {
+    fn stretch_cfg(workers: usize) -> ClusterConfig {
         let mut matrix = LookaheadMatrix::disconnected(2);
         matrix.set(0, 1, 500);
         matrix.set(1, 0, 500);
         ClusterConfig {
             workers,
-            lookahead_us: 500,
             max_rounds: 10_000,
-            mode,
-            matrix: Some(matrix),
+            matrix,
         }
     }
 
     #[test]
     fn emission_aware_windows_collapse_quiet_stretches() {
-        let classic = run_cluster(stretch_builders(), &stretch_cfg(RoundMode::Classic, 1));
-        let adaptive = run_cluster(stretch_builders(), &stretch_cfg(RoundMode::Adaptive, 1));
-        // Same execution…
-        for (c, a) in classic.reports.iter().zip(adaptive.reports.iter()) {
-            assert_eq!(c.fired, a.fired);
-        }
-        // …in a fraction of the rounds: classic steps 500 µs at a time
-        // through 20 ms of simulated time, adaptive leaps each quiet
-        // stretch in one window.
+        let report = run_cluster(stretch_builders(), &stretch_cfg(1));
+        // Every local, every emission and every delivery fires exactly
+        // once, at its own instant: zone 0's locals plus its emission at
+        // 9000 and zone 1's ping at 20000 + 500; zone 1's ping from zone
+        // 0 at 9000 + 500, its local and its emission at 20000.
+        let mut zone0: Vec<u64> = (10..=900).map(|k| k * 10).collect();
+        zone0.extend([9_000, 20_500]);
+        zone0.sort_unstable();
+        assert_eq!(report.reports[0].fired, zone0);
+        assert_eq!(report.reports[1].fired, vec![9_500, 20_000, 20_000]);
+        // A fixed 500 µs window would step ~40 times through 20 ms of
+        // simulated time; emission-aware windows leap each quiet stretch
+        // in one round.
         assert!(
-            classic.rounds >= 20,
-            "classic should need many rounds, got {}",
-            classic.rounds
-        );
-        assert!(
-            adaptive.rounds <= 5,
-            "adaptive should collapse the run, got {}",
-            adaptive.rounds
+            report.rounds <= 5,
+            "windows should collapse the run, got {} rounds",
+            report.rounds
         );
         // And worker count still does not matter.
-        let adaptive2 = run_cluster(stretch_builders(), &stretch_cfg(RoundMode::Adaptive, 2));
-        assert_eq!(adaptive.reports, adaptive2.reports);
-        assert_eq!(adaptive.rounds, adaptive2.rounds);
+        let two = run_cluster(stretch_builders(), &stretch_cfg(2));
+        assert_eq!(report.reports, two.reports);
+        assert_eq!(report.rounds, two.rounds);
     }
 
     #[test]
@@ -1222,10 +1004,8 @@ mod tests {
         matrix.set(1, 2, 500);
         let cfg = ClusterConfig {
             workers: 2,
-            lookahead_us: 500,
             max_rounds: 1_000,
-            mode: RoundMode::Adaptive,
-            matrix: Some(matrix),
+            matrix,
         };
         let report = run_cluster(builders(), &cfg);
         // Zone 2 fires the relayed ping at 1100.
@@ -1235,17 +1015,6 @@ mod tests {
         // round.
         let drives: Vec<u64> = report.reports.iter().map(|r| r.drives).collect();
         assert_eq!(drives, vec![1, 2, 1], "idle zones must not be driven");
-        let classic = ClusterConfig {
-            mode: RoundMode::Classic,
-            ..cfg
-        };
-        let report_c = run_cluster(builders(), &classic);
-        assert_eq!(report_c.reports[2].fired, vec![1_100]);
-        let drives_c: u64 = report_c.reports.iter().map(|r| r.drives).sum();
-        assert!(
-            drives_c > drives.iter().sum::<u64>(),
-            "classic drives every zone every round ({drives_c} total)"
-        );
     }
 
     #[test]
@@ -1256,11 +1025,9 @@ mod tests {
         ];
         let cfg = ClusterConfig {
             workers: 1,
-            lookahead_us: 500,
             max_rounds: 100,
-            mode: RoundMode::Adaptive,
             // No 0 → 1 edge: the emission must panic the run.
-            matrix: Some(LookaheadMatrix::disconnected(2)),
+            matrix: LookaheadMatrix::disconnected(2),
         };
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| run_cluster(builders, &cfg)))
             .expect_err("routing over a silent pair must panic");
@@ -1272,6 +1039,32 @@ mod tests {
             msg.contains("next_deadline"),
             "diagnostic dump missing: {msg}"
         );
+    }
+
+    #[test]
+    fn routing_to_a_zone_the_cluster_lacks_is_caught() {
+        let builders: Vec<Box<dyn FnOnce() -> EmitAt + Send>> = vec![
+            Box::new(|| EmitAt::build(vec![100], vec![(100, 7, 500)])),
+            Box::new(|| EmitAt::build(vec![], vec![])),
+        ];
+        let err =
+            std::panic::catch_unwind(AssertUnwindSafe(|| run_cluster(builders, &cfg(1, 2, 100))))
+                .expect_err("an envelope to zone 7 of 2 must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
+        assert!(msg.contains("zone 7"), "unexpected message: {msg}");
+        assert!(
+            msg.contains("next_deadline"),
+            "diagnostic dump missing: {msg}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 3-zone matrix")]
+    fn lookahead_pairs_outside_the_matrix_are_rejected() {
+        // Unchecked, (0, 4) would alias the (1, 1) entry of a 3-zone matrix.
+        LookaheadMatrix::disconnected(3).set(0, 4, 10);
     }
 
     #[test]
@@ -1299,63 +1092,46 @@ mod tests {
             }
             fn finish(self) {}
         }
-        for mode in [RoundMode::Classic, RoundMode::Adaptive] {
-            let builders: Vec<Box<dyn FnOnce() -> Cheater + Send>> = vec![
-                Box::new(|| Cheater {
-                    sent: false,
-                    pending: true,
-                }),
-                Box::new(|| Cheater {
-                    sent: true,
-                    pending: false,
-                }),
-            ];
-            let cfg = ClusterConfig {
-                workers: 2,
-                lookahead_us: 500,
-                max_rounds: 100,
-                mode,
-                matrix: None,
-            };
-            let err = std::panic::catch_unwind(AssertUnwindSafe(|| run_cluster(builders, &cfg)))
+        let builders: Vec<Box<dyn FnOnce() -> Cheater + Send>> = vec![
+            Box::new(|| Cheater {
+                sent: false,
+                pending: true,
+            }),
+            Box::new(|| Cheater {
+                sent: true,
+                pending: false,
+            }),
+        ];
+        let err =
+            std::panic::catch_unwind(AssertUnwindSafe(|| run_cluster(builders, &cfg(2, 2, 100))))
                 .expect_err("lookahead violation must panic the run");
-            let msg = err
-                .downcast_ref::<String>()
-                .expect("panic carries a message");
-            assert!(
-                msg.contains("lookahead bound violated"),
-                "unexpected message: {msg}"
-            );
-            assert!(
-                msg.contains("next_deadline"),
-                "per-zone diagnostic dump missing from: {msg}"
-            );
-        }
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
+        assert!(
+            msg.contains("lookahead bound violated"),
+            "unexpected message: {msg}"
+        );
+        assert!(
+            msg.contains("next_deadline"),
+            "per-zone diagnostic dump missing from: {msg}"
+        );
     }
 
     #[test]
     fn round_limit_aborts_with_a_diagnostic_dump() {
-        for mode in [RoundMode::Classic, RoundMode::Adaptive] {
-            let cfg = ClusterConfig {
-                workers: 2,
-                lookahead_us: 500,
-                max_rounds: 3,
-                mode,
-                matrix: None,
-            };
-            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_cluster(ring(2, 500, 1_000), &cfg)
-            }))
-            .expect_err("round cap must abort the run");
-            let msg = err
-                .downcast_ref::<String>()
-                .expect("panic carries a message");
-            assert!(msg.contains("livelock"), "unexpected message: {msg}");
-            assert!(
-                msg.contains("next_deadline"),
-                "per-zone diagnostic dump missing from: {msg}"
-            );
-        }
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_cluster(ring(2, 500, 1_000), &cfg(2, 2, 3))
+        }))
+        .expect_err("round cap must abort the run");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
+        assert!(msg.contains("livelock"), "unexpected message: {msg}");
+        assert!(
+            msg.contains("next_deadline"),
+            "per-zone diagnostic dump missing from: {msg}"
+        );
     }
 
     #[test]

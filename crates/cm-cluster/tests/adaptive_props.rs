@@ -2,10 +2,11 @@
 //! lookahead matrices and emission schedules, checked for worker-count
 //! invariance (merged report FNV identical for 1/2/4 workers), exact
 //! delivery times (an envelope never fires before — or anywhere but at —
-//! its `deliver_time`), and protocol equivalence (classic and adaptive
-//! execute the same simulation).
+//! its `deliver_time`), and a closed-form oracle (the emissions are
+//! static, so every zone's fire times and deliveries are known before
+//! the run, and the round count is bounded by the events fired).
 
-use cm_cluster::{run_cluster, ClusterConfig, Envelope, LookaheadMatrix, RoundMode, ZoneWorker};
+use cm_cluster::{run_cluster, ClusterConfig, Envelope, LookaheadMatrix, ZoneWorker};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -46,17 +47,40 @@ impl Workload {
         m
     }
 
-    /// The uniform lookahead classic mode needs: the tightest edge.
-    fn min_latency(&self) -> u64 {
-        self.edges.iter().map(|e| e.latency_us).min().unwrap_or(1)
-    }
-
     fn latency(&self, src: u32, dst: u32) -> u64 {
         self.edges
             .iter()
             .find(|e| e.src == src && e.dst == dst)
             .map(|e| e.latency_us)
             .expect("emissions only ride declared edges")
+    }
+
+    /// What zone `z` must fire, in order: its locals, its own emissions
+    /// (each one a local event of its sender) and, at `at + latency`,
+    /// every emission addressed to it.
+    fn expected_fired(&self, z: u32) -> Vec<u64> {
+        let mut fired = self.locals[z as usize].clone();
+        fired.extend(
+            self.emissions
+                .iter()
+                .filter(|e| e.src == z)
+                .map(|e| e.at_us),
+        );
+        fired.extend(self.expected_deliveries(z));
+        fired.sort_unstable();
+        fired
+    }
+
+    /// The delivery times of every emission addressed to zone `z`, sorted.
+    fn expected_deliveries(&self, z: u32) -> Vec<u64> {
+        let mut d: Vec<u64> = self
+            .emissions
+            .iter()
+            .filter(|e| e.dst == z)
+            .map(|e| e.at_us + self.latency(e.src, e.dst))
+            .collect();
+        d.sort_unstable();
+        d
     }
 }
 
@@ -160,13 +184,11 @@ fn builders(w: &Workload) -> Vec<Box<dyn FnOnce() -> PropZone + Send>> {
         .collect()
 }
 
-fn run(w: &Workload, workers: usize, mode: RoundMode) -> (Vec<PropReport>, u64) {
+fn run(w: &Workload, workers: usize) -> (Vec<PropReport>, u64) {
     let cfg = ClusterConfig {
         workers,
-        lookahead_us: w.min_latency(),
         max_rounds: 100_000,
-        mode,
-        matrix: Some(w.matrix()),
+        matrix: w.matrix(),
     };
     let report = run_cluster(builders(w), &cfg);
     (report.reports, report.rounds)
@@ -251,17 +273,15 @@ fn workload() -> impl Strategy<Value = Workload> {
 
 proptest! {
     /// The merged outcome — every fire time, every delivery — is
-    /// identical for 1, 2, and 4 workers, in both protocols.
+    /// identical for 1, 2, and 4 workers.
     #[test]
     fn worker_count_is_invisible(w in workload()) {
-        for mode in [RoundMode::Classic, RoundMode::Adaptive] {
-            let (one, _) = run(&w, 1, mode);
-            let base = fnv64(&one);
-            for workers in [2usize, 4] {
-                let (many, _) = run(&w, workers, mode);
-                prop_assert_eq!(fnv64(&many), base, "FNV diverged at workers={} in {:?}", workers, mode);
-                prop_assert_eq!(&many, &one, "reports diverged at workers={} in {:?}", workers, mode);
-            }
+        let (one, _) = run(&w, 1);
+        let base = fnv64(&one);
+        for workers in [2usize, 4] {
+            let (many, _) = run(&w, workers);
+            prop_assert_eq!(fnv64(&many), base, "FNV diverged at workers={}", workers);
+            prop_assert_eq!(&many, &one, "reports diverged at workers={}", workers);
         }
     }
 
@@ -269,7 +289,7 @@ proptest! {
     /// `deliver_time` — and it fires at exactly that instant.
     #[test]
     fn deliveries_are_never_early(w in workload()) {
-        let (reports, _) = run(&w, 2, RoundMode::Adaptive);
+        let (reports, _) = run(&w, 2);
         for r in &reports {
             for &(deliver_at, clock_at_injection) in &r.injected {
                 prop_assert!(
@@ -287,30 +307,28 @@ proptest! {
         }
     }
 
-    /// Classic and adaptive partition time differently but execute the
-    /// same simulation: same fire times, same deliveries — and adaptive
-    /// never needs more barrier rounds.
+    /// Every zone fires exactly its closed-form schedule and receives
+    /// exactly the emissions addressed to it, and the run is live: each
+    /// round but the last executes at least one event.
     #[test]
-    fn protocols_agree_on_the_simulation(w in workload()) {
-        let (classic, classic_rounds) = run(&w, 1, RoundMode::Classic);
-        let (adaptive, adaptive_rounds) = run(&w, 1, RoundMode::Adaptive);
-        for (c, a) in classic.iter().zip(adaptive.iter()) {
-            prop_assert_eq!(&c.fired, &a.fired);
-            // Injection *call order* is a protocol artifact (one wide
-            // adaptive round can hand over what classic spreads across
-            // several), so compare deliveries as a multiset.
-            let deliver = |r: &PropReport| {
-                let mut d: Vec<u64> = r.injected.iter().map(|&(d, _)| d).collect();
-                d.sort_unstable();
-                d
-            };
-            prop_assert_eq!(deliver(c), deliver(a));
+    fn runs_match_the_closed_form_oracle(w in workload()) {
+        let (reports, rounds) = run(&w, 1);
+        for (z, r) in reports.iter().enumerate() {
+            let z = z as u32;
+            prop_assert_eq!(&r.fired, &w.expected_fired(z), "zone {} fired", z);
+            // Injection *call order* is a round-partition artifact (one
+            // wide window can hand over several rounds' worth), so
+            // compare deliveries as a multiset.
+            let mut delivered: Vec<u64> = r.injected.iter().map(|&(d, _)| d).collect();
+            delivered.sort_unstable();
+            prop_assert_eq!(delivered, w.expected_deliveries(z), "zone {} deliveries", z);
         }
+        let fired: usize = reports.iter().map(|r| r.fired.len()).sum();
         prop_assert!(
-            adaptive_rounds <= classic_rounds,
-            "adaptive windows regressed rounds: {} vs classic {}",
-            adaptive_rounds,
-            classic_rounds
+            rounds <= fired as u64 + 1,
+            "{} rounds for {} fired events: some round made no progress",
+            rounds,
+            fired
         );
     }
 }

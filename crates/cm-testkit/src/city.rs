@@ -4,8 +4,9 @@
 //! member churn and media publishes: a pure function of [`CityConfig`],
 //! independent of the engine, so the schedule can be hashed and compared
 //! byte-for-byte before anything runs. The executor that replays a
-//! schedule against a live platform lives in `cm-bench` (`city_run`),
-//! keeping this crate free of session/platform dependencies.
+//! schedule against a live platform lives in `cm-bench` (`city_run`,
+//! `city_zone`), keeping this crate free of session/platform
+//! dependencies.
 //!
 //! The workload shape follows the paper's pitch of many concurrent
 //! continuous-media sessions: rooms open at uniform times across an
@@ -209,7 +210,7 @@ pub struct CityConfig {
     /// [`ZonePlan`](crate::zone::ZonePlan)). Part of the workload, not
     /// of the execution: the partition is fixed per config so a sharded
     /// run is comparable — byte-identical, in fact — across worker
-    /// counts. `1` disables partitioning (the flat legacy world).
+    /// counts. `1` is the flat city: one zone, no mirrors.
     pub zones: u32,
     /// Percent (0–100) of rooms whose members span multiple zones.
     pub cross_zone_percent: u32,

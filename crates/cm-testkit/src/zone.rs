@@ -27,6 +27,10 @@
 //! [`ZonePlan::nodes_per_zone`] regular leaves plus one dedicated relay
 //! leaf (index `nodes_per_zone`), so relays never collide with members
 //! on the one-peer-per-node admission rule.
+//!
+//! With one zone the overlay is the identity: no room crosses, no relay
+//! leaf is needed, and the plan is the flat schedule verbatim — which is
+//! how the flat city runs ([`ZonePlan::one_zone`]).
 
 use crate::city::{CityConfig, CityEvent, CityMedia, CitySchedule};
 
@@ -162,15 +166,17 @@ pub struct ZoneSchedule {
 pub struct ZonePlan {
     /// Zone count (≥ 1).
     pub zones: u32,
-    /// Regular leaves per zone; the relay leaf is index
-    /// `nodes_per_zone`, so each zone world has `nodes_per_zone + 1`
-    /// leaves.
+    /// Regular leaves per zone; the relay leaf, when there is one (see
+    /// [`leaves_per_zone`](Self::leaves_per_zone)), is index
+    /// `nodes_per_zone`.
     pub nodes_per_zone: u32,
     /// One-way inter-zone latency, ms (the runner's lookahead).
     pub wan_latency_ms: u64,
     /// Per-zone schedules, indexed by zone id.
     pub per_zone: Vec<ZoneSchedule>,
-    /// Placement of every room, indexed by dense room id.
+    /// Placement of every room, indexed by dense room id — empty in a
+    /// one-zone plan, where every room is home and nothing is placed
+    /// (look guests up with [`guests`](Self::guests)).
     pub rooms: Vec<ZoneRoomInfo>,
     /// Rooms that span zones.
     pub cross_rooms: u32,
@@ -184,6 +190,14 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Regular leaves per zone: an even share of the city's nodes, but never
+/// fewer than one room's members (they need distinct nodes) — with one
+/// zone, exactly the flat city's `cfg.nodes`.
+fn nodes_per_zone(cfg: &CityConfig, zones: u32) -> u32 {
+    let members_cap = cfg.members_max.min(cfg.nodes);
+    (cfg.nodes / zones).max(members_cap).max(2)
+}
+
 impl ZonePlan {
     /// Overlay `cfg.zones` zones on an already-generated schedule.
     ///
@@ -193,8 +207,10 @@ impl ZonePlan {
     /// config always yields the same plan.
     pub fn partition(cfg: &CityConfig, schedule: &CitySchedule) -> ZonePlan {
         let zones = cfg.zones.max(1);
-        let members_cap = cfg.members_max.min(cfg.nodes);
-        let nodes_per_zone = (cfg.nodes / zones).max(members_cap).max(2);
+        if zones == 1 {
+            return ZonePlan::one_zone(cfg, schedule.clone());
+        }
+        let nodes_per_zone = nodes_per_zone(cfg, zones);
         let mut per_zone = vec![ZoneSchedule::default(); zones as usize];
         let mut rooms: Vec<Option<ZoneRoomInfo>> = Vec::new();
         let mut cross_rooms = 0u32;
@@ -328,6 +344,42 @@ impl ZonePlan {
         }
     }
 
+    /// [`partition`](Self::partition) under `zones: 1` — the flat city
+    /// as a zone plan — built in the schedule's own event buffer. With
+    /// one zone every room is home and nothing crosses: no relay leaf,
+    /// no relay or mirror events, nothing to place (`rooms` stays
+    /// empty), and the zone world is the flat star, so each flat event
+    /// is its own zone event. The events are the same size, so the
+    /// collect reuses the allocation rather than holding a second copy
+    /// of the city (or freeing the first mid-run): the replay's heap is
+    /// the flat city's, allocation for allocation.
+    pub fn one_zone(cfg: &CityConfig, schedule: CitySchedule) -> ZonePlan {
+        ZonePlan {
+            zones: 1,
+            nodes_per_zone: nodes_per_zone(cfg, 1),
+            wan_latency_ms: cfg.wan_latency_ms.max(1),
+            per_zone: vec![ZoneSchedule {
+                member_slots: schedule.member_slots,
+                events: schedule.events.into_iter().map(ZoneEvent::City).collect(),
+            }],
+            rooms: Vec::new(),
+            cross_rooms: 0,
+        }
+    }
+
+    /// Leaves in every zone world: the regular ones, plus the relay leaf
+    /// when there are other zones to mirror rooms from. A one-zone world
+    /// is exactly the flat city's star.
+    pub fn leaves_per_zone(&self) -> u32 {
+        self.nodes_per_zone + u32::from(self.zones > 1)
+    }
+
+    /// Guest zones of `room`: empty for a zone-local room, and for every
+    /// room of a one-zone plan.
+    pub fn guests(&self, room: u32) -> &[u32] {
+        self.rooms.get(room as usize).map_or(&[], |r| &r.guests)
+    }
+
     /// The relay leaf's node index in every zone world.
     pub fn relay_node(&self) -> u32 {
         self.nodes_per_zone
@@ -370,7 +422,7 @@ impl ZonePlan {
             .iter()
             .filter_map(|ev| match *ev {
                 ZoneEvent::City(CityEvent::Publish { at_ms, room, .. })
-                    if !self.rooms[room as usize].guests.is_empty() =>
+                    if !self.guests(room).is_empty() =>
                 {
                     Some(at_ms * 1_000)
                 }
@@ -406,17 +458,43 @@ mod tests {
     fn single_zone_plan_is_the_flat_schedule() {
         let mut cfg = CityConfig::smoke(11);
         cfg.zones = 1;
-        let (_, schedule, plan) = plan_for(cfg);
+        let (cfg, schedule, plan) = plan_for(cfg);
         assert_eq!(plan.per_zone.len(), 1);
         assert_eq!(plan.cross_rooms, 0);
         // With one zone the node world is the flat world, so every
-        // event round-trips unchanged.
+        // event round-trips unchanged, in order, and nothing is added.
+        assert_eq!(plan.nodes_per_zone, cfg.nodes);
+        assert_eq!(plan.leaves_per_zone(), cfg.nodes, "no relay leaf");
         let flat: Vec<ZoneEvent> = schedule
             .events
             .iter()
             .map(|&e| ZoneEvent::City(e))
             .collect();
         assert_eq!(plan.per_zone[0].events, flat);
+        assert!(plan.per_zone[0]
+            .events
+            .iter()
+            .all(|ev| matches!(ev, ZoneEvent::City(_))));
+        assert_eq!(plan.per_zone[0].member_slots, schedule.member_slots);
+        assert!((0..cfg.rooms).all(|room| plan.guests(room).is_empty()));
+        assert!(plan.rooms.is_empty(), "one zone places nothing");
+        assert!(plan.wan_edges().is_empty());
+        assert!(plan.emission_enables_us(0).is_empty());
+    }
+
+    #[test]
+    fn one_zone_reuses_the_schedule_buffer() {
+        // Same-size events, so the flat buffer is taken over, not copied;
+        // and the config's four zones are ignored.
+        let cfg = CityConfig::smoke(7);
+        let schedule = CitySchedule::generate(&cfg);
+        let flat = schedule.events.clone();
+        let buffer = schedule.events.as_ptr() as usize;
+        let plan = ZonePlan::one_zone(&cfg, schedule);
+        assert_eq!(plan.zones, 1);
+        assert_eq!(plan.per_zone[0].events.as_ptr() as usize, buffer);
+        let expected: Vec<ZoneEvent> = flat.into_iter().map(ZoneEvent::City).collect();
+        assert_eq!(plan.per_zone[0].events, expected);
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Zone-sharded cluster integration: determinism across worker counts
-//! and the relay's flat-in-membership wide-area cost (DESIGN.md §11).
+//! Zone-sharded cluster integration: determinism across worker counts,
+//! the relay's flat-in-membership wide-area cost (DESIGN.md §11), and
+//! the flat city as the cluster's one-zone case.
 
-use cm_bench::city_zone::run_city_cluster;
-use cm_testkit::{CityConfig, MediaMix};
+use cm_bench::city_run::run_city_schedule;
+use cm_bench::city_zone::{run_city_cluster, run_city_cluster_schedule};
+use cm_obs::render_report;
+use cm_testkit::{CityConfig, CitySchedule, MediaMix};
 
 /// The tentpole determinism claim, end to end: the same seeded workload
 /// run on 1 worker thread and on 4 produces byte-identical merged
@@ -73,4 +76,43 @@ fn cross_zone_bytes_are_flat_in_membership() {
     let large = run(15);
     assert_eq!(small, medium, "3 vs 9 members changed wide-area traffic");
     assert_eq!(small, large, "3 vs 15 members changed wide-area traffic");
+}
+
+/// The flat city is the one-zone cluster, exactly: the same smoke city
+/// replayed flat and through the cluster runner over `zones: 1` on one
+/// worker yields equal counters, byte-identical telemetry and a
+/// byte-identical attribution report. Both are traced, so the claim
+/// covers every timestamped event either world recorded.
+#[test]
+fn flat_city_is_the_one_zone_cluster() {
+    let cfg = CityConfig {
+        zones: 1,
+        ..CityConfig::smoke(7)
+    };
+    let schedule = CitySchedule::generate(&cfg);
+    let capacity = Some(1 << 20);
+    let (flat, engine, obs) = run_city_schedule(&cfg, schedule.clone(), capacity);
+    let tel = engine.telemetry();
+    let flat_jsonl = tel.export_jsonl();
+    let flat_report =
+        render_report(&[obs.finish_report(0, engine.now().as_micros(), tel.overflow())]);
+
+    let one = run_city_cluster_schedule(&cfg, &schedule, 1, capacity);
+    assert_eq!(one.per_zone.len(), 1);
+    let zone = &one.per_zone[0];
+    assert_eq!(one.agg, flat, "aggregate counters");
+    assert_eq!(zone.stats, flat, "zone 0 counters");
+    assert_eq!(one.wan_msgs, 0, "one zone has no wide area");
+    assert!(flat.osdus_delivered > 0 && !flat_jsonl.is_empty());
+    assert!(
+        zone.telemetry_jsonl.as_deref() == Some(flat_jsonl.as_str()),
+        "telemetry must be byte-identical"
+    );
+    let one_report = render_report(std::slice::from_ref(
+        zone.obs_report
+            .as_ref()
+            .expect("tracing rides with telemetry"),
+    ));
+    assert!(one_report.contains("\"schema\": \"cm-obs/v1\""));
+    assert!(one_report == flat_report, "report must be byte-identical");
 }
