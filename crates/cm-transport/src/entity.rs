@@ -17,15 +17,26 @@
 //! **Re-entrancy discipline.** The entity's state sits in one `RefCell`.
 //! Nothing that can call back into the entity runs while that borrow is
 //! held: user/tap callbacks are dispatched as engine events at the current
-//! instant, and buffer wakers are engine-scheduling trampolines.
+//! instant, and buffer wakers are engine-scheduling trampolines. Sends,
+//! timer arms, telemetry and `cm-obs` stamps never touch entity state, so
+//! a path may issue them under the borrow — their order is the
+//! deterministic contract, wherever the borrows fall.
+//!
+//! **Handles inside.** A VC id is resolved to its slab handle once, where
+//! it enters the entity: packet demultiplex, a control message's handler,
+//! a service call. Everything past that point — timers, wakers, the data
+//! path, healing — takes the handle. Per-VC decisions (is credit due, the
+//! stall transition, the heal episode's backoff and give-up) are methods
+//! on the VC's own state ([`SourceEnd`], [`SinkEnd`], `HealState`); the
+//! entity borrows, asks, and issues the effects.
 
 use crate::buffer::{BufferHandle, PushOutcome};
+use crate::heal::HealReason;
 use crate::monitor::QosMonitor;
-use crate::rate::RateClock;
 use crate::receiver::{SinkAction, SinkEngine};
 use crate::service::{EgressTap, EntityConfig, TransportService, TransportUser, VcTap};
-use crate::tpdu::{fragment_sizes, ControlMsg, DataTpdu, QosReport, CONTROL_WIRE_SIZE};
-use crate::vc::{EndStats, SinkEnd, SourceEnd, Vc, VcRole};
+use crate::tpdu::{ControlMsg, DataTpdu, QosReport, CONTROL_WIRE_SIZE};
+use crate::vc::{EndStats, Pull, SinkEnd, SourceEnd, Vc, VcEnd, VcRole};
 use crate::window::{GoBackNReceiver, GoBackNSender};
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
@@ -97,10 +108,10 @@ pub(crate) struct VcEntry {
 
 /// Slab-indexed store of the *open* VC endpoints. The id→handle map is
 /// consulted once per event at the demultiplex point (packet arrival,
-/// service call); timers and hot loops then address the slab directly
-/// through generation-tagged handles. Release removes the entry, so a
-/// handle or id that outlives its VC resolves to `None`. The map-keyed
-/// accessors keep the cold call sites unchanged.
+/// service call); everything inside the entity — timers, wakers, the
+/// data path, healing — then addresses the slab directly through
+/// generation-tagged handles. Release removes the entry, so a handle or
+/// id that outlives its VC resolves to `None`.
 pub(crate) struct VcTable {
     slots: Slab<VcEntry>,
     by_id: FastMap<VcId, SlabHandle>,
@@ -166,65 +177,6 @@ impl VcTable {
     /// Open endpoints held.
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    pub(crate) fn tap(&self, vc: &VcId) -> Option<Rc<dyn VcTap>> {
-        self.resolve(*vc)
-            .and_then(|h| self.slots.get(h))
-            .and_then(|e| e.tap.clone())
-    }
-
-    pub(crate) fn set_tap(&mut self, vc: VcId, tap: Rc<dyn VcTap>) -> bool {
-        match self.resolve(vc).and_then(|h| self.slots.get_mut(h)) {
-            Some(e) => {
-                e.tap = Some(tap);
-                true
-            }
-            None => false,
-        }
-    }
-
-    pub(crate) fn clear_tap(&mut self, vc: &VcId) {
-        if let Some(e) = self.resolve(*vc).and_then(|h| self.slots.get_mut(h)) {
-            e.tap = None;
-        }
-    }
-
-    pub(crate) fn set_egress(&mut self, vc: VcId, tap: Rc<dyn EgressTap>) -> bool {
-        match self.resolve(vc).and_then(|h| self.slots.get_mut(h)) {
-            Some(e) => {
-                e.egress = Some(tap);
-                true
-            }
-            None => false,
-        }
-    }
-
-    pub(crate) fn clear_egress(&mut self, vc: &VcId) {
-        if let Some(e) = self.resolve(*vc).and_then(|h| self.slots.get_mut(h)) {
-            e.egress = None;
-        }
-    }
-
-    pub(crate) fn heal(&self, vc: &VcId) -> Option<&crate::heal::HealState> {
-        self.resolve(*vc)
-            .and_then(|h| self.slots.get(h))
-            .and_then(|e| e.heal.as_ref())
-    }
-
-    pub(crate) fn heal_mut(&mut self, vc: &VcId) -> Option<&mut crate::heal::HealState> {
-        let h = self.resolve(*vc)?;
-        self.slots.get_mut(h).and_then(|e| e.heal.as_mut())
-    }
-
-    pub(crate) fn has_heal(&self, vc: &VcId) -> bool {
-        self.heal(vc).is_some()
-    }
-
-    pub(crate) fn set_heal(&mut self, vc: VcId, hs: crate::heal::HealState) {
-        if let Some(e) = self.resolve(vc).and_then(|h| self.slots.get_mut(h)) {
-            e.heal = Some(hs);
-        }
     }
 }
 
@@ -328,15 +280,19 @@ impl TransportEntity {
     /// Source-side feedback that must reach every receiving end: unicast
     /// to the peer on an ordinary VC, multicast over the group's control
     /// channel on a group VC.
-    pub(crate) fn send_source_feedback(&self, vc: VcId, msg: ControlMsg) {
+    pub(crate) fn send_source_feedback(&self, h: SlabHandle, msg: ControlMsg) {
         let target = {
             let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .map(|v| (v.group.as_ref().map(|ge| ge.group), v.peer_node))
+            st.vcs.at(h).map(|e| {
+                (
+                    e.vc.id,
+                    e.vc.group.as_ref().map(|ge| ge.group),
+                    e.vc.peer_node,
+                )
+            })
         };
         match target {
-            Some((Some(g), _)) => {
+            Some((vc, Some(g), _)) => {
                 let pkt = Packet::group(
                     self.node,
                     g,
@@ -348,7 +304,7 @@ impl TransportEntity {
                 );
                 self.net.send_to_group(g, pkt);
             }
-            Some((None, peer)) => self.send_control(peer, msg),
+            Some((_, None, peer)) => self.send_control(peer, msg),
             None => {}
         }
     }
@@ -365,8 +321,8 @@ impl TransportEntity {
         }
     }
 
-    /// Schedule a callback on an already-resolved user (the fused paths
-    /// clone the user while they still hold the state borrow — scheduling
+    /// Schedule a callback on an already-resolved user (the delivery path
+    /// clones the user while it still holds the state borrow — scheduling
     /// itself never touches entity state).
     fn dispatch_user(
         self: &Rc<Self>,
@@ -382,16 +338,9 @@ impl TransportEntity {
             });
     }
 
-    /// Dispatch a tap callback as an event at the current instant.
-    fn to_tap(self: &Rc<Self>, vc: VcId, f: impl FnOnce(&Rc<dyn VcTap>) + 'static) {
-        let tap = self.state.borrow().vcs.tap(&vc);
-        if let Some(tap) = tap {
-            self.dispatch_tap(tap, f);
-        }
-    }
-
-    /// Schedule an already-resolved tap callback (the fused delivery path
-    /// clones the tap while it still holds the state borrow).
+    /// Dispatch a tap callback as an event at the current instant (the
+    /// delivery path clones the tap while it still holds the state
+    /// borrow).
     fn dispatch_tap(&self, tap: Rc<dyn VcTap>, f: impl FnOnce(&Rc<dyn VcTap>) + 'static) {
         self.net
             .engine()
@@ -471,54 +420,31 @@ impl TransportEntity {
         // Destination answering its indication?
         let dst = self.state.borrow_mut().pending_dst.remove(&vc);
         if let Some(p) = dst {
-            // Group invitation: answer the sender with the group handshake
-            // (reservations live on the shared tree, keyed by the group).
-            if p.group.is_some() {
-                let member = TransportAddr {
-                    node: self.node,
-                    tsap: p.triple.destination.tsap,
-                };
-                if accept {
-                    self.open_sink(vc, &p);
-                    self.send_control(
-                        p.triple.source.node,
-                        ControlMsg::GroupConnectResponse {
-                            vc,
-                            member,
-                            result: Ok((p.agreed, p.capacity)),
-                        },
-                    );
-                } else {
-                    self.send_control(
-                        p.triple.source.node,
-                        ControlMsg::GroupConnectResponse {
-                            vc,
-                            member,
-                            result: Err(DisconnectReason::UserRejected),
-                        },
-                    );
-                }
-                return Ok(());
-            }
-            if accept {
+            let result = if accept {
                 self.open_sink(vc, &p);
-                self.send_control(
-                    p.triple.source.node,
-                    ControlMsg::ConnectResponse {
-                        vc,
-                        result: Ok((p.agreed, p.capacity)),
-                    },
-                );
+                Ok((p.agreed, p.capacity))
             } else {
-                self.net.release_reservation(vc);
-                self.send_control(
-                    p.triple.source.node,
-                    ControlMsg::ConnectResponse {
-                        vc,
-                        result: Err(DisconnectReason::UserRejected),
+                // A group invitation holds no reservation of its own: the
+                // branch lives on the shared tree, keyed by the group.
+                if p.group.is_none() {
+                    self.net.release_reservation(vc);
+                }
+                Err(DisconnectReason::UserRejected)
+            };
+            let msg = match p.group {
+                // Group invitation: answer the sender with the group
+                // handshake.
+                Some(_) => ControlMsg::GroupConnectResponse {
+                    vc,
+                    member: TransportAddr {
+                        node: self.node,
+                        tsap: p.triple.destination.tsap,
                     },
-                );
-            }
+                    result,
+                },
+                None => ControlMsg::ConnectResponse { vc, result },
+            };
+            self.send_control(p.triple.source.node, msg);
             return Ok(());
         }
         // Source user answering a remote-connect indication?
@@ -641,51 +567,21 @@ impl TransportEntity {
         vc: VcId,
         accept: bool,
     ) -> Result<(), ServiceError> {
-        let (peer, triple) = {
-            let st = self.state.borrow();
-            let v = st.vcs.get(&vc).ok_or(ServiceError::UnknownVc)?;
-            (v.peer_node, v.triple)
-        };
-        if !accept {
-            self.send_control(
-                peer,
-                ControlMsg::RenegotiateResponse {
-                    vc,
-                    result: Err(DisconnectReason::RenegotiationRefused),
-                },
-            );
-            return Ok(());
-        }
-        let pending = {
+        let (h, peer, triple, pending) = {
             let mut st = self.state.borrow_mut();
-            let v = st.vcs.get_mut(&vc).ok_or(ServiceError::UnknownVc)?;
-            v.pending_renegotiation().take()
+            let h = st.vcs.resolve(vc).ok_or(ServiceError::UnknownVc)?;
+            let v = &mut st.vcs.at_mut(h).ok_or(ServiceError::UnknownVc)?.vc;
+            (h, v.peer_node, v.triple, v.pending_reneg.take())
         };
-        let new_tolerance = match pending {
-            Some(t) => t,
-            None => return Err(ServiceError::WrongState("no renegotiation pending")),
+        // The verdict answers the pending request, accepted or refused;
+        // with nothing pending there is nothing to answer.
+        let new_tolerance = pending.ok_or(ServiceError::WrongState("no renegotiation pending"))?;
+        let result = if accept {
+            self.apply_renegotiation(h, triple, new_tolerance)
+        } else {
+            Err(DisconnectReason::RenegotiationRefused)
         };
-        let result = self.apply_renegotiation(vc, triple, new_tolerance);
-        match &result {
-            Ok(qos) => {
-                self.send_control(
-                    peer,
-                    ControlMsg::RenegotiateResponse {
-                        vc,
-                        result: Ok(*qos),
-                    },
-                );
-            }
-            Err(reason) => {
-                self.send_control(
-                    peer,
-                    ControlMsg::RenegotiateResponse {
-                        vc,
-                        result: Err(reason.clone()),
-                    },
-                );
-            }
-        }
+        self.send_control(peer, ControlMsg::RenegotiateResponse { vc, result });
         Ok(())
     }
 
@@ -693,8 +589,8 @@ impl TransportEntity {
     /// ledger; on success the local contract is replaced in place —
     /// protocol state, buffers and sequence numbers survive (§4.1.3).
     fn apply_renegotiation(
-        self: &Rc<Self>,
-        vc: VcId,
+        &self,
+        h: SlabHandle,
         triple: AddressTriple,
         new_tolerance: QosTolerance,
     ) -> Result<QosParams, DisconnectReason> {
@@ -705,11 +601,11 @@ impl TransportEntity {
             .path_qos(src, dst, self.config.mtu)
             .ok_or(DisconnectReason::Unreachable)?;
         // Capacity available = unreserved + what this VC already holds.
-        let held = {
+        let (vc, held) = {
             let st = self.state.borrow();
-            st.vcs.get(&vc).map(|v| v.contract.throughput)
-        }
-        .unwrap_or(cm_core::time::Bandwidth::ZERO);
+            let v = &st.vcs.at(h).ok_or(DisconnectReason::Unreachable)?.vc;
+            (v.id, v.contract.throughput)
+        };
         if let Some(avail) = self.net.available_bandwidth(src, dst) {
             achievable.throughput = (avail + held).min(achievable.throughput);
         }
@@ -719,10 +615,9 @@ impl TransportEntity {
         self.net
             .renegotiate_reservation(vc, agreed.throughput)
             .map_err(|_| DisconnectReason::RenegotiationRefused)?;
-        let mut st = self.state.borrow_mut();
-        if let Some(v) = st.vcs.get_mut(&vc) {
-            v.contract = agreed;
-            v.requirement.tolerance = new_tolerance;
+        if let Some(e) = self.state.borrow_mut().vcs.at_mut(h) {
+            e.vc.contract = agreed;
+            e.vc.requirement.tolerance = new_tolerance;
         }
         Ok(agreed)
     }
@@ -753,13 +648,13 @@ impl TransportEntity {
         let weak = Rc::downgrade(self);
         let tick = netsim::PeriodicTimer::new(self.net.engine(), move |_| {
             if let Some(me) = weak.upgrade() {
-                me.source_tick_h(h);
+                me.source_tick(h);
             }
         });
         let weak = Rc::downgrade(self);
         let rto = netsim::PeriodicTimer::new(self.net.engine(), move |_| {
             if let Some(me) = weak.upgrade() {
-                me.rto_fire_h(h);
+                me.rto_fire(h);
             }
         });
         let mut st = self.state.borrow_mut();
@@ -791,27 +686,21 @@ impl TransportEntity {
         if p.start_seq > 0 {
             sink.engine.start_at(p.start_seq);
         }
-        let v = Vc {
-            id: vc,
-            triple: p.triple,
-            class: p.class,
-            requirement: p.requirement,
-            contract: p.agreed,
-            role: VcRole::Sink,
-            peer_node: p.triple.source.node,
-            local_tsap: p.triple.destination.tsap,
-            source: None,
-            sink: Some(sink),
-            group: None,
-            pending_reneg: None,
-        };
-        let monitored = v.sink.as_ref().is_some_and(|k| k.monitor.is_some());
+        let monitored = sink.monitor.is_some();
+        let v = Vc::new(
+            vc,
+            p.triple,
+            p.class,
+            p.requirement,
+            p.agreed,
+            VcEnd::Sink(sink),
+        );
         let h = self.state.borrow_mut().vcs.insert(vc, v);
         if monitored {
             let weak = Rc::downgrade(self);
             let timer = netsim::PeriodicTimer::new(self.net.engine(), move |_| {
                 if let Some(me) = weak.upgrade() {
-                    me.monitor_fire_h(h);
+                    me.monitor_fire(h);
                 }
             });
             {
@@ -820,7 +709,7 @@ impl TransportEntity {
                     k.monitor_timer = Some(timer);
                 }
             }
-            self.schedule_monitor_h(h);
+            self.schedule_monitor(h);
         }
     }
 
@@ -831,45 +720,24 @@ impl TransportEntity {
         agreed: QosParams,
         recv_capacity: u32,
     ) {
-        let slots = self.buffer_slots(&p.requirement);
-        let mut clock = RateClock::new(p.requirement.osdu_rate);
-        clock.start(self.local_now());
-        let source = SourceEnd {
-            send_buf: BufferHandle::new(slots),
-            clock,
-            gbn: (p.class.profile == ProtocolProfile::WindowBased)
-                .then(|| GoBackNSender::new(self.config.window_size, self.config.rto)),
-            pending_frags: std::collections::VecDeque::new(),
-            next_write_seq: 0,
-            charged: 0,
-            freed_remote: 0,
-            recv_capacity: recv_capacity as u64,
-            dropped: 0,
-            sent: 0,
-            retrans_cache: std::collections::VecDeque::new(),
-            retrans_cache_cap: (recv_capacity as usize) * 4,
-            tick_timer: None,
-            rto_timer: None,
-            waiting_buffer: false,
-            stalled_credit: false,
-            stalled_at: None,
-            rto_strikes: 0,
-            dropped_snap: 0,
-        };
-        let v = Vc {
-            id: vc,
-            triple: p.triple,
-            class: p.class,
-            requirement: p.requirement,
-            contract: agreed,
-            role: VcRole::Source,
-            peer_node: p.triple.destination.node,
-            local_tsap: p.triple.source.tsap,
-            source: Some(source),
-            sink: None,
-            group: None,
-            pending_reneg: None,
-        };
+        let gbn = (p.class.profile == ProtocolProfile::WindowBased)
+            .then(|| GoBackNSender::new(self.config.window_size, self.config.rto));
+        let source = SourceEnd::new(
+            self.buffer_slots(&p.requirement),
+            p.requirement.osdu_rate,
+            self.local_now(),
+            gbn,
+            recv_capacity as u64,
+            recv_capacity as usize * 4,
+        );
+        let v = Vc::new(
+            vc,
+            p.triple,
+            p.class,
+            p.requirement,
+            agreed,
+            VcEnd::Source(source),
+        );
         // Register the negotiated contract with the auditor: the delay
         // bound is the end-to-end deadline, and the loss budget doubles as
         // the deadline-miss budget (a late CM OSDU is as lost as a dropped
@@ -885,8 +753,8 @@ impl TransportEntity {
         self.attach_source_timers(h);
         // Arm the pacing/pump machinery; it will park on the empty buffer.
         match p.class.profile {
-            ProtocolProfile::RateBasedCm => self.ensure_tick_h(h, self.now()),
-            ProtocolProfile::WindowBased => self.pump_window(vc),
+            ProtocolProfile::RateBasedCm => self.ensure_tick(h, self.now()),
+            ProtocolProfile::WindowBased => self.pump_window(h),
             ProtocolProfile::Datagram => {}
         }
     }
@@ -1019,43 +887,33 @@ impl TransportEntity {
                 self.on_group_connect_response(vc, member, result)
             }
             ControlMsg::Disconnect { vc, reason, notify } => {
-                // At a group sender a release from a member means that
-                // member leaves — the group VC itself stays up.
-                let group_sender = {
+                let open = {
                     let st = self.state.borrow();
-                    st.vcs.get(&vc).is_some_and(|v| v.group.is_some())
+                    let h = st.vcs.resolve(vc);
+                    h.and_then(|h| Some((h, st.vcs.at(h)?)))
+                        .map(|(h, e)| (h, e.vc.group.is_some(), e.vc.local_tsap))
                 };
-                if group_sender {
-                    self.group_member_left(vc, from, reason);
-                    return;
-                }
-                if notify.is_some() {
+                match (open, notify) {
+                    // At a group sender a release from a member means that
+                    // member leaves — the group VC itself stays up.
+                    (Some((h, true, _)), _) => self.group_member_left(h, from, reason),
                     // Remote release request: indication only; the user
                     // decides whether to actually release (§4.1.1). A VC
                     // already released is not indicated again.
-                    let tsap = {
-                        let st = self.state.borrow();
-                        st.vcs.get(&vc).map(|v| v.local_tsap)
-                    };
-                    if let Some(tsap) = tsap {
-                        self.to_user(tsap, move |svc, u| {
-                            u.t_disconnect_indication(svc, vc, reason)
-                        });
-                    }
-                } else {
-                    self.teardown_local(vc, reason, true);
+                    (Some((_, false, tsap)), Some(_)) => self.to_user(tsap, move |svc, u| {
+                        u.t_disconnect_indication(svc, vc, reason)
+                    }),
+                    (None, Some(_)) => {}
+                    (_, None) => self.teardown_local(vc, reason, true),
                 }
             }
             ControlMsg::RenegotiateRequest { vc, new_tolerance } => {
                 let tsap = {
                     let mut st = self.state.borrow_mut();
-                    match st.vcs.get_mut(&vc) {
-                        Some(v) => {
-                            *v.pending_renegotiation() = Some(new_tolerance);
-                            Some(v.local_tsap)
-                        }
-                        None => None,
-                    }
+                    st.vcs.get_mut(&vc).map(|v| {
+                        v.pending_reneg = Some(new_tolerance);
+                        v.local_tsap
+                    })
                 };
                 if let Some(tsap) = tsap {
                     self.to_user(tsap, move |svc, u| {
@@ -1065,21 +923,17 @@ impl TransportEntity {
             }
             ControlMsg::RenegotiateResponse { vc, result } => {
                 let tsap = {
-                    let st = self.state.borrow();
-                    st.vcs.get(&vc).map(|v| v.local_tsap)
+                    let mut st = self.state.borrow_mut();
+                    let Some(v) = st.vcs.get_mut(&vc) else { return };
+                    // A group sender's contract is derived from its members
+                    // (`recompute_group`), never set from the wire.
+                    if let (Ok(qos), None) = (&result, &v.group) {
+                        v.contract = *qos;
+                    }
+                    v.local_tsap
                 };
-                let Some(tsap) = tsap else { return };
                 match result {
                     Ok(qos) => {
-                        {
-                            let mut st = self.state.borrow_mut();
-                            // A group sender's contract is derived
-                            // from its members (`recompute_group`), never
-                            // set from the wire.
-                            if let Some(v) = st.vcs.get_mut(&vc).filter(|v| v.group.is_none()) {
-                                v.contract = qos;
-                            }
-                        }
                         self.to_user(tsap, move |svc, u| u.t_renegotiate_confirm(svc, vc, qos));
                     }
                     Err(reason) => {
@@ -1092,48 +946,64 @@ impl TransportEntity {
                 }
             }
             ControlMsg::Credit { vc, freed_total } => self.on_credit(from, vc, freed_total),
-            ControlMsg::CreditProbe { vc } => self.force_send_credit(vc),
+            ControlMsg::CreditProbe { vc } => {
+                // Re-advertise unconditionally: the delta gate would
+                // swallow a repeat of a report the dead path ate.
+                let mut st = self.state.borrow_mut();
+                if let Some(v) = st.vcs.get_mut(&vc) {
+                    if let Some(k) = v.sink.as_mut() {
+                        self.send_credit(vc, v.peer_node, k, true);
+                    }
+                }
+            }
             ControlMsg::Dropped { vc, seqs } => {
                 let now = self.now();
-                let actions = {
-                    let mut st = self.state.borrow_mut();
-                    match st.vcs.get_mut(&vc).and_then(|v| v.sink.as_mut()) {
-                        Some(k) => k.engine.on_drop_notice(&seqs, now),
-                        None => return,
-                    }
+                let mut st = self.state.borrow_mut();
+                let Some(h) = st.vcs.resolve(vc) else { return };
+                let Some(k) = st.vcs.at_mut(h).and_then(|e| e.vc.sink.as_mut()) else {
+                    return;
                 };
-                self.apply_sink_actions(vc, actions, None);
+                let actions = k.engine.on_drop_notice(&seqs, now);
+                self.sink_actions(&mut st, h, actions, now);
             }
             ControlMsg::Nack { vc, seqs } => self.on_nack(from, vc, seqs),
             ControlMsg::Ack { vc, upto } => self.on_ack(vc, upto),
             ControlMsg::QosReportMsg(report) => {
+                let open = {
+                    let st = self.state.borrow();
+                    let h = st.vcs.resolve(report.vc);
+                    h.and_then(|h| Some((h, st.vcs.at(h)?)))
+                        .map(|(h, e)| (h, e.vc.local_tsap, e.vc.group.is_some()))
+                };
+                let Some((h, tsap, is_group)) = open else {
+                    return;
+                };
                 // A whole monitoring period at zero throughput with the
                 // contract violated is starvation — the path under this VC
                 // is suspect (self-healing, DESIGN.md §9).
                 if report.measured.throughput.as_bps() == 0 && !report.violations.is_empty() {
-                    self.heal_kick(report.vc, crate::heal::HealReason::Starved);
+                    self.heal_kick(h, HealReason::Starved);
                 }
-                let info = {
-                    let st = self.state.borrow();
-                    st.vcs
-                        .get(&report.vc)
-                        .map(|v| (v.local_tsap, v.group.is_some()))
-                };
-                if let Some((tsap, is_group)) = info {
-                    if is_group {
-                        // Per-receiver monitoring: attribute the report to
-                        // the member that measured it.
-                        let vc = report.vc;
-                        self.to_user(tsap, move |svc, u| {
-                            u.t_group_qos_indication(svc, vc, from, report)
-                        });
-                    } else {
-                        self.to_user(tsap, move |svc, u| u.t_qos_indication(svc, report));
-                    }
+                if is_group {
+                    // Per-receiver monitoring: attribute the report to
+                    // the member that measured it.
+                    let vc = report.vc;
+                    self.to_user(tsap, move |svc, u| {
+                        u.t_group_qos_indication(svc, vc, from, report)
+                    });
+                } else {
+                    self.to_user(tsap, move |svc, u| u.t_qos_indication(svc, report));
                 }
             }
             ControlMsg::UserControl { vc, payload } => {
-                self.to_tap(vc, move |tap| tap.on_control(vc, payload));
+                let tap = {
+                    let st = self.state.borrow();
+                    let h = st.vcs.resolve(vc);
+                    h.and_then(|h| st.vcs.at(h)).and_then(|e| e.tap.clone())
+                };
+                if let Some(tap) = tap {
+                    self.dispatch_tap(tap, move |tap| tap.on_control(vc, payload));
+                }
             }
             ControlMsg::Datagram {
                 to_tsap,
@@ -1371,20 +1241,13 @@ impl TransportEntity {
     // Rate-based data path
     // ------------------------------------------------------------------
 
-    /// (Re)schedule the pacing tick for `vc` at its next due instant.
-    pub(crate) fn ensure_tick_now(self: &Rc<Self>, vc: VcId) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        self.ensure_tick_h(h, self.now());
-    }
-
-    /// As [`Self::ensure_tick_now`], by slab handle, with an explicit
-    /// earliest firing time. The early-wake re-arm passes `now + 1 µs`:
-    /// the local↔global clock conversions truncate to whole microseconds,
-    /// so a "due" instant can map back onto the current instant and a
-    /// same-time re-arm would spin forever without advancing virtual time.
-    fn ensure_tick_h(self: &Rc<Self>, h: SlabHandle, floor: SimTime) {
+    /// (Re)arm the pacing tick of the source behind `h` at its next due
+    /// instant, but no earlier than `floor`. The early-wake re-arm passes
+    /// `now + 1 µs`: the local↔global clock conversions truncate to whole
+    /// microseconds, so a "due" instant can map back onto the current
+    /// instant and a same-time re-arm would spin forever without advancing
+    /// virtual time.
+    pub(crate) fn ensure_tick(&self, h: SlabHandle, floor: SimTime) {
         let st = self.state.borrow();
         let Some(s) = st.vcs.at(h).and_then(|e| e.vc.source.as_ref()) else {
             return;
@@ -1398,121 +1261,42 @@ impl TransportEntity {
         }
     }
 
-    /// Id-keyed wrapper for the cold callers (group recompute, resume).
-    pub(crate) fn source_tick(self: &Rc<Self>, vc: VcId) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        self.source_tick_h(h);
-    }
-
     /// One pacing-tick of the rate-based source behind `h` — the hottest
-    /// periodic path in the stack. The timer closure hands us the slab
+    /// periodic path in the stack. Timers and wakers hand us the slab
     /// handle, so the whole tick runs without a single id lookup.
-    pub(crate) fn source_tick_h(self: &Rc<Self>, h: SlabHandle) {
+    pub(crate) fn source_tick(self: &Rc<Self>, h: SlabHandle) {
         let now = self.now();
         let local = self.local_now();
-        enum Next {
-            Idle,
-            ParkOnBuffer,
-            Send(Osdu),
-        }
-        let mut stalled_vc = None;
-        let next = {
+        let slack = cm_core::time::SimDuration::from_micros(1);
+        let (vc, pull) = {
             let mut st = self.state.borrow_mut();
             let Some(e) = st.vcs.at_mut(h) else { return };
-            let vc = e.vc.id;
             let s = e.vc.source.as_mut().expect("source end on tick");
-            match s.clock.next_due() {
-                None => Next::Idle, // paused
-                // 1 us tolerance: local->global->local conversion truncates,
-                // so an exactly-due tick can read as infinitesimally early —
-                // without the slack it would re-arm at the same instant
-                // forever.
-                Some(due) if due > local + cm_core::time::SimDuration::from_micros(1) => {
-                    // Early wake (stale event survived a reschedule):
-                    // fall through to re-arm below.
-                    Next::Idle
-                }
-                Some(_) => {
-                    if !s.has_credit() {
-                        if !s.stalled_credit {
-                            s.stalled_at = Some(now);
-                            self.trace_stall(vc, now);
-                            stalled_vc = Some(vc);
-                        }
-                        s.stalled_credit = true;
-                        Next::Idle
-                    } else {
-                        match s.send_buf.try_pop(now) {
-                            Some(osdu) => Next::Send(osdu),
-                            None => Next::ParkOnBuffer,
-                        }
-                    }
-                }
-            }
+            let pull = match s.clock.next_due() {
+                // Paused, or an early wake (a stale event survived a
+                // reschedule). The 1 µs tolerance: local->global->local
+                // conversion truncates, so an exactly-due tick can read as
+                // infinitesimally early — without the slack it would
+                // re-arm at the same instant forever.
+                None => None,
+                Some(due) if due > local + slack => None,
+                Some(_) => Some(s.pull(now)),
+            };
+            (e.vc.id, pull)
         };
-        if let Some(vc) = stalled_vc {
-            // Arm the self-healing probe: a stall that outlives the
-            // patience window gets its infrastructure checked.
-            self.heal_on_stall(vc);
-        }
-        match next {
-            Next::Idle => {
-                // Re-arm if running and due in the future.
-                let due = {
-                    let st = self.state.borrow();
-                    st.vcs
-                        .at(h)
-                        .and_then(|e| e.vc.source.as_ref())
-                        .and_then(|s| s.clock.next_due())
-                };
-                if let Some(due) = due {
-                    if due > local + cm_core::time::SimDuration::from_micros(1) {
-                        // Strictly future: see ensure_tick_h.
-                        self.ensure_tick_h(h, now + cm_core::time::SimDuration::from_micros(1));
-                    }
+        match pull {
+            // Re-arm strictly in the future (nothing is due while paused).
+            None => self.ensure_tick(h, now + slack),
+            // Returning credit resumes the tick.
+            Some(Pull::Stalled { new }) => {
+                if new {
+                    self.credit_stalled(h, vc, now);
                 }
             }
-            Next::ParkOnBuffer => {
-                // Protocol blocked: application slow producing (§6.3.1.2).
-                let (buf, already) = {
-                    let mut st = self.state.borrow_mut();
-                    let s = st
-                        .vcs
-                        .at_mut(h)
-                        .and_then(|e| e.vc.source.as_mut())
-                        .expect("source end");
-                    let already = s.waiting_buffer;
-                    s.waiting_buffer = true;
-                    (s.send_buf.clone(), already)
-                };
-                if !already {
-                    let me = self.clone();
-                    buf.park_consumer(now, move || {
-                        // Trampoline: never re-enter synchronously.
-                        let me2 = me.clone();
-                        me.net
-                            .engine()
-                            .schedule_in(cm_core::time::SimDuration::ZERO, move |_| {
-                                {
-                                    let mut st = me2.state.borrow_mut();
-                                    if let Some(s) =
-                                        st.vcs.at_mut(h).and_then(|e| e.vc.source.as_mut())
-                                    {
-                                        s.waiting_buffer = false;
-                                    }
-                                }
-                                me2.source_tick_h(h);
-                            });
-                    });
-                }
-            }
-            Next::Send(osdu) => {
-                self.transmit_osdu_h(h, osdu, false, None);
-                // Consume the pacing slot and re-arm in the same borrow —
-                // the old per-call path re-borrowed (and re-looked-up the
-                // id) three times for this one step.
+            Some(Pull::Empty) => self.park_source(h, now, Self::source_tick),
+            Some(Pull::Osdu(osdu)) => {
+                self.transmit_osdu(h, osdu, false, None);
+                // Consume the pacing slot and re-arm in one borrow.
                 let mut st = self.state.borrow_mut();
                 if let Some(s) = st.vcs.at_mut(h).and_then(|e| e.vc.source.as_mut()) {
                     s.clock.consume_slot();
@@ -1530,25 +1314,76 @@ impl TransportEntity {
         }
     }
 
-    /// Id-keyed wrapper for the cold callers (nack resends, heal unstick).
-    pub(crate) fn transmit_osdu(
-        self: &Rc<Self>,
-        vc: VcId,
-        osdu: Osdu,
-        is_retrans: bool,
-        explicit_to: Option<NetAddr>,
-    ) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        self.transmit_osdu_h(h, osdu, is_retrans, explicit_to);
+    /// A fresh send found the source behind `h` out of credit, and the
+    /// stall is new: trace it and arm the self-healing probe — a stall that
+    /// outlives the patience window gets its infrastructure checked.
+    fn credit_stalled(self: &Rc<Self>, h: SlabHandle, vc: VcId, now: SimTime) {
+        if self.tel.enabled() {
+            self.tel.count("vc.credit.stall", 1);
+            self.tel
+                .instant(now, Layer::Transport, "vc.credit.stall", |e| {
+                    e.u64("vc", vc.0);
+                });
+        }
+        self.heal_kick(h, HealReason::Stall);
     }
 
-    /// Fragment and transmit one OSDU (fresh or retransmission). Fresh
-    /// sends on a group VC fan out over the shared tree; `explicit_to`
-    /// overrides the destination for per-receiver unicast retransmission.
-    pub(crate) fn transmit_osdu_h(
+    /// Park the protocol on the source's empty send buffer: the
+    /// application is slow producing (§6.3.1.2). The wake trampolines
+    /// through the engine — never re-entering synchronously — into
+    /// `resume`, the pacing tick or the window pump.
+    fn park_source(
         self: &Rc<Self>,
+        h: SlabHandle,
+        now: SimTime,
+        resume: fn(&Rc<Self>, SlabHandle),
+    ) {
+        let buf = {
+            let mut st = self.state.borrow_mut();
+            let Some(s) = st.vcs.at_mut(h).and_then(|e| e.vc.source.as_mut()) else {
+                return;
+            };
+            if std::mem::replace(&mut s.waiting_buffer, true) {
+                return;
+            }
+            s.send_buf.clone()
+        };
+        let me = self.clone();
+        buf.park_consumer(now, move || {
+            let me2 = me.clone();
+            me.net
+                .engine()
+                .schedule_in(cm_core::time::SimDuration::ZERO, move |_| {
+                    if let Some(s) = me2
+                        .state
+                        .borrow_mut()
+                        .vcs
+                        .at_mut(h)
+                        .and_then(|e| e.vc.source.as_mut())
+                    {
+                        s.waiting_buffer = false;
+                    }
+                    resume(&me2, h);
+                });
+        });
+    }
+
+    /// The trace tag data fragments of `(vc, seq)` carry while causal
+    /// tracing is on.
+    fn frag_trace(&self, vc: VcId, seq: u64) -> Option<netsim::PacketTrace> {
+        self.obs.enabled().then_some(netsim::PacketTrace {
+            stream: vc.0,
+            seq,
+            queued_us: 0,
+        })
+    }
+
+    /// Fragment and transmit one OSDU (fresh or retransmission) from the
+    /// source behind `h`. Fresh sends on a group VC fan out over the shared
+    /// tree; `explicit_to` overrides the destination for per-receiver
+    /// unicast retransmission.
+    pub(crate) fn transmit_osdu(
+        &self,
         h: SlabHandle,
         osdu: Osdu,
         is_retrans: bool,
@@ -1559,11 +1394,10 @@ impl TransportEntity {
             Group(netsim::GroupId),
         }
         let now = self.now();
-        let (vc, dest, seq, sizes) = {
+        let (vc, dest) = {
             let mut st = self.state.borrow_mut();
             let Some(e) = st.vcs.at_mut(h) else { return };
             let v = &mut e.vc;
-            let vc = v.id;
             let dest = match explicit_to {
                 Some(node) => Dest::Unicast(node),
                 None => match &v.group {
@@ -1571,65 +1405,36 @@ impl TransportEntity {
                     None => Dest::Unicast(v.peer_node),
                 },
             };
-            let seq = osdu.seq();
-            let sizes = fragment_sizes(osdu.wire_size(), self.config.mtu);
-            let corrects = v.class.error_control.corrects();
-            let s = v.source.as_mut().expect("source end");
             if !is_retrans {
-                s.charged += 1;
-                s.sent += 1;
-                if corrects {
-                    s.retrans_cache.push_back(osdu.clone());
-                    while s.retrans_cache.len() > s.retrans_cache_cap {
-                        s.retrans_cache.pop_front();
-                    }
-                }
+                let corrects = v.class.error_control.corrects();
+                let s = v.source.as_mut().expect("source end");
+                s.charge(&osdu, corrects);
             }
-            (vc, dest, seq, sizes)
+            (v.id, dest)
         };
         // First fresh transmission closes the send-buffer wait; every
         // fragment (fresh or retransmitted) carries the trace tag so the
         // completing copy's queue wait reaches the sink attribution.
-        let tracing = self.obs.enabled();
-        if tracing && !is_retrans {
+        let seq = osdu.seq();
+        if !is_retrans && self.obs.enabled() {
             self.obs.transmitted(vc.0, seq, now.as_micros());
         }
+        let trace = self.frag_trace(vc, seq);
         // Branch on the destination once, not per fragment: the fragment
         // loop below is the hottest transport send path, feeding netsim's
         // zero-allocation flight events.
-        let count = sizes.len() as u32;
-        let make_tpdu = |i: usize, bytes: usize| {
-            let last = i as u32 + 1 == count;
-            DataTpdu {
-                vc,
-                osdu_seq: seq,
-                frag_index: i as u32,
-                frag_count: count,
-                frag_bytes: bytes,
-                opdu: osdu.opdu,
-                payload: last.then(|| osdu.payload.clone()),
-                osdu_sent_at: now,
-            }
-        };
+        let frags = DataTpdu::fragments(vc, &osdu, self.config.mtu, now);
         match dest {
             Dest::Unicast(node) => {
-                for (i, &bytes) in sizes.iter().enumerate() {
-                    let tpdu = make_tpdu(i, bytes);
+                for tpdu in frags {
                     let wire = tpdu.wire_size();
                     let mut pkt = Packet::data(self.node, node, vc, wire, now, WirePdu::Data(tpdu));
-                    if tracing {
-                        pkt.trace = Some(netsim::PacketTrace {
-                            stream: vc.0,
-                            seq,
-                            queued_us: 0,
-                        });
-                    }
+                    pkt.trace = trace;
                     self.net.send(self.node, pkt);
                 }
             }
             Dest::Group(g) => {
-                for (i, &bytes) in sizes.iter().enumerate() {
-                    let tpdu = make_tpdu(i, bytes);
+                for tpdu in frags {
                     let wire = tpdu.wire_size();
                     let mut pkt = Packet::group(
                         self.node,
@@ -1640,13 +1445,7 @@ impl TransportEntity {
                         now,
                         WirePdu::Data(tpdu),
                     );
-                    if tracing {
-                        pkt.trace = Some(netsim::PacketTrace {
-                            stream: vc.0,
-                            seq,
-                            queued_us: 0,
-                        });
-                    }
+                    pkt.trace = trace;
                     self.net.send_to_group(g, pkt);
                 }
             }
@@ -1654,18 +1453,16 @@ impl TransportEntity {
     }
 
     fn on_credit(self: &Rc<Self>, from: NetAddr, vc: VcId, freed_total: u64) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
         enum Act {
             Group,
             Nothing,
             Resume(ProtocolProfile),
         }
-        let act = {
+        let (h, act) = {
             let mut st = self.state.borrow_mut();
+            let Some(h) = st.vcs.resolve(vc) else { return };
             let Some(e) = st.vcs.at_mut(h) else { return };
-            if e.vc.group.is_some() {
+            let act = if e.vc.group.is_some() {
                 Act::Group
             } else {
                 let profile = e.vc.class.profile;
@@ -1684,13 +1481,14 @@ impl TransportEntity {
                         }
                     }
                 }
-            }
+            };
+            (h, act)
         };
         match act {
-            Act::Group => self.on_group_credit(vc, from, freed_total),
+            Act::Group => self.on_group_credit(h, from, freed_total),
             Act::Nothing => {}
-            Act::Resume(ProtocolProfile::RateBasedCm) => self.source_tick_h(h),
-            Act::Resume(ProtocolProfile::WindowBased) => self.pump_window(vc),
+            Act::Resume(ProtocolProfile::RateBasedCm) => self.source_tick(h),
+            Act::Resume(ProtocolProfile::WindowBased) => self.pump_window(h),
             Act::Resume(ProtocolProfile::Datagram) => {}
         }
     }
@@ -1698,12 +1496,13 @@ impl TransportEntity {
     /// Per-receiver error control: retransmissions (and give-up notices
     /// for cache-evicted sequences) go *unicast* to the requesting node,
     /// so one lossy receiver never triggers a resend to the whole group.
-    fn on_nack(self: &Rc<Self>, from: NetAddr, vc: VcId, seqs: Vec<u64>) {
+    fn on_nack(&self, from: NetAddr, vc: VcId, seqs: Vec<u64>) {
         let mut to_resend = Vec::new();
         let mut gone = Vec::new();
-        {
+        let h = {
             let st = self.state.borrow();
-            let Some(s) = st.vcs.get(&vc).and_then(|v| v.source.as_ref()) else {
+            let Some(h) = st.vcs.resolve(vc) else { return };
+            let Some(s) = st.vcs.at(h).and_then(|e| e.vc.source.as_ref()) else {
                 return;
             };
             for seq in seqs {
@@ -1712,7 +1511,8 @@ impl TransportEntity {
                     None => gone.push(seq),
                 }
             }
-        }
+            h
+        };
         // Each nacked sequence is a traced unit the network lost (or
         // corrupted) on the way to `from`.
         if self.obs.enabled() {
@@ -1721,7 +1521,7 @@ impl TransportEntity {
             }
         }
         for osdu in to_resend {
-            self.transmit_osdu(vc, osdu, true, Some(from));
+            self.transmit_osdu(h, osdu, true, Some(from));
         }
         if !gone.is_empty() {
             // Evicted from the cache: give up so the receiver can move on.
@@ -1733,147 +1533,66 @@ impl TransportEntity {
     // Window-based data path
     // ------------------------------------------------------------------
 
-    /// Transmit as much as window + credit allow (window profile).
-    pub(crate) fn pump_window(self: &Rc<Self>, vc: VcId) {
+    /// Transmit as much as window + credit allow from the window-profile
+    /// source behind `h`.
+    pub(crate) fn pump_window(self: &Rc<Self>, h: SlabHandle) {
         let now = self.now();
         loop {
             enum Step {
-                SendFrag(u64, DataTpdu),
-                NeedOsdu,
+                SendFrag(NetAddr, u64, DataTpdu),
+                Stalled(Option<VcId>),
+                Park,
                 Done,
             }
             let step = {
                 let mut st = self.state.borrow_mut();
-                let Some(v) = st.vcs.get_mut(&vc) else { return };
-                let s = v.source.as_mut().expect("source end");
+                let Some(e) = st.vcs.at_mut(h) else { return };
+                let (vc, peer) = (e.vc.id, e.vc.peer_node);
+                let s = e.vc.source.as_mut().expect("source end");
                 let gbn = s.gbn.as_mut().expect("window sender");
                 if !gbn.can_send() {
                     Step::Done
                 } else if let Some(tpdu) = s.pending_frags.pop_front() {
                     let wseq = gbn.on_send(tpdu.clone(), now);
-                    Step::SendFrag(wseq, tpdu)
+                    Step::SendFrag(peer, wseq, tpdu)
                 } else {
-                    Step::NeedOsdu
+                    // Pull the next OSDU and fragment it into pending_frags.
+                    match s.pull(now) {
+                        Pull::Osdu(osdu) => {
+                            let frags = DataTpdu::fragments(vc, &osdu, self.config.mtu, now);
+                            s.pending_frags.extend(frags);
+                            s.charge(&osdu, false);
+                            // The OSDU left the send buffer: close its
+                            // pacing/credit wait.
+                            self.obs.transmitted(vc.0, osdu.seq(), now.as_micros());
+                            continue;
+                        }
+                        Pull::Stalled { new } => Step::Stalled(new.then_some(vc)),
+                        Pull::Empty => Step::Park,
+                    }
                 }
             };
             match step {
+                Step::SendFrag(peer, wseq, tpdu) => self.send_window_frag(peer, wseq, tpdu),
+                Step::Stalled(new) => {
+                    if let Some(vc) = new {
+                        self.credit_stalled(h, vc, now);
+                    }
+                    break;
+                }
+                Step::Park => {
+                    self.park_source(h, now, Self::pump_window);
+                    break;
+                }
                 Step::Done => break,
-                Step::SendFrag(wseq, tpdu) => {
-                    self.send_window_frag(vc, wseq, tpdu);
-                }
-                Step::NeedOsdu => {
-                    // Pull the next OSDU, fragment it into pending_frags.
-                    enum Pull {
-                        Got,
-                        Park,
-                        Stall,
-                    }
-                    let mut newly_stalled = false;
-                    let pull = {
-                        let mut st = self.state.borrow_mut();
-                        let Some(v) = st.vcs.get_mut(&vc) else { return };
-                        let mtu = self.config.mtu;
-                        let s = v.source.as_mut().expect("source end");
-                        if !s.has_credit() {
-                            if !s.stalled_credit {
-                                s.stalled_at = Some(now);
-                                self.trace_stall(vc, now);
-                                newly_stalled = true;
-                            }
-                            s.stalled_credit = true;
-                            Pull::Stall
-                        } else {
-                            match s.send_buf.try_pop(now) {
-                                None => Pull::Park,
-                                Some(osdu) => {
-                                    let seq = osdu.seq();
-                                    let sizes = fragment_sizes(osdu.wire_size(), mtu);
-                                    let count = sizes.len() as u32;
-                                    for (i, bytes) in sizes.iter().enumerate() {
-                                        let last = i as u32 + 1 == count;
-                                        s.pending_frags.push_back(DataTpdu {
-                                            vc,
-                                            osdu_seq: seq,
-                                            frag_index: i as u32,
-                                            frag_count: count,
-                                            frag_bytes: *bytes,
-                                            opdu: osdu.opdu,
-                                            payload: last.then(|| osdu.payload.clone()),
-                                            osdu_sent_at: now,
-                                        });
-                                    }
-                                    s.charged += 1;
-                                    s.sent += 1;
-                                    // The OSDU left the send buffer: close
-                                    // its pacing/credit wait.
-                                    self.obs.transmitted(vc.0, seq, now.as_micros());
-                                    Pull::Got
-                                }
-                            }
-                        }
-                    };
-                    match pull {
-                        Pull::Got => continue,
-                        Pull::Stall => {
-                            if newly_stalled {
-                                self.heal_on_stall(vc);
-                            }
-                            break;
-                        }
-                        Pull::Park => {
-                            let (buf, already) = {
-                                let mut st = self.state.borrow_mut();
-                                let s = st
-                                    .vcs
-                                    .get_mut(&vc)
-                                    .and_then(|v| v.source.as_mut())
-                                    .expect("source end");
-                                let already = s.waiting_buffer;
-                                s.waiting_buffer = true;
-                                (s.send_buf.clone(), already)
-                            };
-                            if !already {
-                                let me = self.clone();
-                                buf.park_consumer(now, move || {
-                                    let me2 = me.clone();
-                                    me.net.engine().schedule_in(
-                                        cm_core::time::SimDuration::ZERO,
-                                        move |_| {
-                                            {
-                                                let mut st = me2.state.borrow_mut();
-                                                if let Some(s) = st
-                                                    .vcs
-                                                    .get_mut(&vc)
-                                                    .and_then(|v| v.source.as_mut())
-                                                {
-                                                    s.waiting_buffer = false;
-                                                }
-                                            }
-                                            me2.pump_window(vc);
-                                        },
-                                    );
-                                });
-                            }
-                            break;
-                        }
-                    }
-                }
             }
         }
-        self.arm_rto(vc);
+        self.arm_rto(h);
     }
 
-    fn send_window_frag(self: &Rc<Self>, vc: VcId, wseq: u64, tpdu: DataTpdu) {
-        let peer = {
-            let st = self.state.borrow();
-            match st.vcs.get(&vc) {
-                Some(v) => v.peer_node,
-                None => return,
-            }
-        };
-        let wire = tpdu.wire_size();
+    fn send_window_frag(&self, peer: NetAddr, wseq: u64, tpdu: DataTpdu) {
+        let (vc, seq, wire) = (tpdu.vc, tpdu.osdu_seq, tpdu.wire_size());
         let now = self.now();
-        let seq = tpdu.osdu_seq;
         let mut pkt = Packet::data(
             self.node,
             peer,
@@ -1882,49 +1601,21 @@ impl TransportEntity {
             now,
             WirePdu::WindowData { wseq, tpdu },
         );
-        if self.obs.enabled() {
-            pkt.trace = Some(netsim::PacketTrace {
-                stream: vc.0,
-                seq,
-                queued_us: 0,
-            });
-        }
+        pkt.trace = self.frag_trace(vc, seq);
         self.net.send(self.node, pkt);
     }
 
-    fn arm_rto(self: &Rc<Self>, vc: VcId) {
-        let at = {
-            let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .and_then(|v| v.source.as_ref())
-                .and_then(|s| s.gbn.as_ref())
-                .and_then(|g| g.timeout_at())
-        };
+    fn arm_rto(&self, h: SlabHandle) {
         let st = self.state.borrow();
-        if let Some(t) = st
-            .vcs
-            .get(&vc)
-            .and_then(|v| v.source.as_ref())
-            .and_then(|s| s.rto_timer.as_ref())
-        {
-            match at {
+        let Some(s) = st.vcs.at(h).and_then(|e| e.vc.source.as_ref()) else {
+            return;
+        };
+        if let Some(t) = &s.rto_timer {
+            match s.gbn.as_ref().and_then(|g| g.timeout_at()) {
                 Some(at) => t.arm_at(at.max(self.now())),
                 None => t.disarm(),
             }
         }
-    }
-
-    /// A source newly stalled on exhausted receiver credit.
-    fn trace_stall(&self, vc: VcId, now: SimTime) {
-        if !self.tel.enabled() {
-            return;
-        }
-        self.tel.count("vc.credit.stall", 1);
-        self.tel
-            .instant(now, Layer::Transport, "vc.credit.stall", |e| {
-                e.u64("vc", vc.0);
-            });
     }
 
     /// Credit returned; the stall that began at `since` is over.
@@ -1945,13 +1636,12 @@ impl TransportEntity {
             });
     }
 
-    pub(crate) fn rto_fire_h(self: &Rc<Self>, h: SlabHandle) {
+    pub(crate) fn rto_fire(self: &Rc<Self>, h: SlabHandle) {
         let now = self.now();
-        let (vc, resend, strikes) = {
+        let (vc, peer, resend, strikes) = {
             let mut st = self.state.borrow_mut();
             let Some(e) = st.vcs.at_mut(h) else { return };
             let v = &mut e.vc;
-            let vc = v.id;
             let s = v.source.as_mut().expect("source end");
             let gbn = s.gbn.as_mut().expect("window sender");
             // wseqs of cached entries are base..next, in order.
@@ -1965,10 +1655,10 @@ impl TransportEntity {
                 }
                 _ => 0,
             };
-            (vc, resend, strikes)
+            (v.id, v.peer_node, resend, strikes)
         };
         if strikes == self.config.heal_rto_patience {
-            self.heal_kick(vc, crate::heal::HealReason::Rto);
+            self.heal_kick(h, HealReason::Rto);
         }
         if let Some((tpdus, base)) = resend {
             if self.tel.enabled() && !tpdus.is_empty() {
@@ -1980,17 +1670,18 @@ impl TransportEntity {
                 });
             }
             for (i, tpdu) in tpdus.into_iter().enumerate() {
-                self.send_window_frag(vc, base + i as u64, tpdu);
+                self.send_window_frag(peer, base + i as u64, tpdu);
             }
         }
-        self.arm_rto(vc);
+        self.arm_rto(h);
     }
 
     fn on_ack(self: &Rc<Self>, vc: VcId, upto: u64) {
         let now = self.now();
-        let slid = {
+        let (h, slid) = {
             let mut st = self.state.borrow_mut();
-            let Some(s) = st.vcs.get_mut(&vc).and_then(|v| v.source.as_mut()) else {
+            let Some(h) = st.vcs.resolve(vc) else { return };
+            let Some(s) = st.vcs.at_mut(h).and_then(|e| e.vc.source.as_mut()) else {
                 return;
             };
             let slid = match s.gbn.as_mut() {
@@ -2001,12 +1692,12 @@ impl TransportEntity {
                 // Window progress: the path works, clear the strikes.
                 s.rto_strikes = 0;
             }
-            slid
+            (h, slid)
         };
         if slid {
-            self.pump_window(vc);
+            self.pump_window(h);
         } else {
-            self.arm_rto(vc);
+            self.arm_rto(h);
         }
     }
 
@@ -2033,7 +1724,7 @@ impl TransportEntity {
         };
         self.send_control(peer, ControlMsg::Ack { vc, upto: ack });
         if accept {
-            self.feed_sink_h(h, tpdu, false, now, queued_us);
+            self.feed_sink(h, tpdu, false, now, queued_us);
         }
     }
 
@@ -2048,14 +1739,13 @@ impl TransportEntity {
             return;
         };
         let now = self.now();
-        self.feed_sink_h(h, tpdu, corrupted, now, queued_us);
+        self.feed_sink(h, tpdu, corrupted, now, queued_us);
     }
 
     /// Receive-path core: reassembly, monitor accounting, and the whole
     /// same-tick delivery batch (buffer pushes, tap dispatches, NACKs,
-    /// loss indications, credit) under ONE state borrow. The per-action
-    /// path used to re-borrow and re-look-up the id 3–4 times per OSDU.
-    fn feed_sink_h(
+    /// loss indications, credit) under ONE state borrow.
+    fn feed_sink(
         self: &Rc<Self>,
         h: SlabHandle,
         tpdu: DataTpdu,
@@ -2112,35 +1802,17 @@ impl TransportEntity {
                 );
             }
         }
-        self.sink_actions_locked(st, h, actions, now);
+        self.sink_actions(st, h, actions, now);
     }
 
-    /// Id-keyed wrapper: run sink-engine actions + credit refresh (the
-    /// `Dropped` control path resolves here).
-    fn apply_sink_actions(
-        self: &Rc<Self>,
-        vc: VcId,
-        actions: Vec<SinkAction>,
-        now: Option<SimTime>,
-    ) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        let now = now.unwrap_or_else(|| self.now());
-        let mut guard = self.state.borrow_mut();
-        self.sink_actions_locked(&mut guard, h, actions, now);
-    }
-
-    /// Process a batch of sink-engine actions and the follow-on credit
-    /// refresh against the entry behind `h`, under the caller's state
-    /// borrow. Every externally visible effect — tap/user callbacks
+    /// Process a batch of sink-engine actions against the entry behind
+    /// `h`, under the caller's state borrow, then advertise any credit
+    /// they freed. Every externally visible effect — tap/user callbacks
     /// (zero-delay engine events), NACK and credit control sends, the
-    /// producer park — is issued inline in exactly the order the old
-    /// per-action path produced it; none of them touch entity state
-    /// synchronously, so issuing them under the borrow is safe and the
-    /// event schedule (and with it the telemetry byte stream) is
-    /// unchanged.
-    fn sink_actions_locked(
+    /// producer park — is issued inline, in action order; none of them
+    /// touch entity state synchronously, so issuing them under the borrow
+    /// is safe.
+    fn sink_actions(
         self: &Rc<Self>,
         st: &mut State,
         h: SlabHandle,
@@ -2196,19 +1868,9 @@ impl TransportEntity {
                 }
             }
         }
-        let freed = k.freed_total();
-        if freed > k.last_freed_sent {
-            k.last_freed_sent = freed;
-            self.send_control(
-                peer,
-                ControlMsg::Credit {
-                    vc,
-                    freed_total: freed,
-                },
-            );
-        }
+        self.send_credit(vc, peer, k, false);
         if let Some(buf) = park {
-            self.park_sink_producer_h(h, buf, now);
+            self.park_sink_producer(h, buf, now);
         }
     }
 
@@ -2216,29 +1878,23 @@ impl TransportEntity {
     /// trampolines through the engine into a pending-delivery drain.
     /// Registration consumes no event sequence, so parking at the end of
     /// a batch instead of mid-loop leaves the schedule untouched.
-    fn park_sink_producer_h(self: &Rc<Self>, h: SlabHandle, buf: BufferHandle, now: SimTime) {
+    fn park_sink_producer(self: &Rc<Self>, h: SlabHandle, buf: BufferHandle, now: SimTime) {
         let me = self.clone();
         buf.park_producer(now, move || {
             let me2 = me.clone();
             me.net
                 .engine()
                 .schedule_in(cm_core::time::SimDuration::ZERO, move |_| {
-                    me2.drain_pending_delivery_h(h)
+                    let now = me2.now();
+                    me2.drain_pending(&mut me2.state.borrow_mut(), h, now);
                 });
         });
     }
 
-    fn drain_pending_delivery_h(self: &Rc<Self>, h: SlabHandle) {
-        let now = self.now();
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        self.drain_pending_locked(st, h, now);
-    }
-
     /// Move stalled pending deliveries into freed receive-buffer slots,
-    /// dispatch their taps, and send any credit delta — one borrow for
-    /// the whole drain (the loop used to take three per OSDU).
-    fn drain_pending_locked(self: &Rc<Self>, st: &mut State, h: SlabHandle, now: SimTime) {
+    /// dispatch their taps, and send any credit delta — under the
+    /// caller's state borrow, one borrow for the whole drain.
+    fn drain_pending(self: &Rc<Self>, st: &mut State, h: SlabHandle, now: SimTime) {
         let Some(e) = st.vcs.at_mut(h) else { return };
         let vc = e.vc.id;
         let peer = e.vc.peer_node;
@@ -2262,45 +1918,18 @@ impl TransportEntity {
                 }
             }
         }
-        let freed = k.freed_total();
-        if freed > k.last_freed_sent {
-            k.last_freed_sent = freed;
-            self.send_control(
-                peer,
-                ControlMsg::Credit {
-                    vc,
-                    freed_total: freed,
-                },
-            );
-        }
+        self.send_credit(vc, peer, k, false);
         if let Some(buf) = park {
-            self.park_sink_producer_h(h, buf, now);
+            self.park_sink_producer(h, buf, now);
         }
     }
 
-    /// Advertise newly freed receive slots to the sender.
-    pub(crate) fn maybe_send_credit(self: &Rc<Self>, vc: VcId) {
-        let msg = {
-            let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
-            let peer = v.peer_node;
-            let Some(k) = v.sink.as_mut() else { return };
-            let freed = k.freed_total();
-            if freed > k.last_freed_sent {
-                k.last_freed_sent = freed;
-                Some((peer, freed))
-            } else {
-                None
-            }
-        };
-        if let Some((peer, freed)) = msg {
-            self.send_control(
-                peer,
-                ControlMsg::Credit {
-                    vc,
-                    freed_total: freed,
-                },
-            );
+    /// Advertise the sink end `k`'s freed receive slots to the sender
+    /// `peer` when [`SinkEnd::credit_due`] says credit is due — the one
+    /// place a `Credit` leaves the entity.
+    fn send_credit(&self, vc: VcId, peer: NetAddr, k: &mut SinkEnd, force: bool) {
+        if let Some(freed_total) = k.credit_due(force) {
+            self.send_control(peer, ControlMsg::Credit { vc, freed_total });
         }
     }
 
@@ -2308,7 +1937,7 @@ impl TransportEntity {
     // QoS monitoring
     // ------------------------------------------------------------------
 
-    fn schedule_monitor_h(self: &Rc<Self>, h: SlabHandle) {
+    fn schedule_monitor(self: &Rc<Self>, h: SlabHandle) {
         let st = self.state.borrow();
         let Some(k) = st.vcs.at(h).and_then(|e| e.vc.sink.as_ref()) else {
             return;
@@ -2321,7 +1950,7 @@ impl TransportEntity {
         }
     }
 
-    fn monitor_fire_h(self: &Rc<Self>, h: SlabHandle) {
+    fn monitor_fire(self: &Rc<Self>, h: SlabHandle) {
         let now = self.now();
         let report = {
             let mut st = self.state.borrow_mut();
@@ -2380,7 +2009,7 @@ impl TransportEntity {
             // notification).
             self.send_control(peer, ControlMsg::QosReportMsg(report));
         }
-        self.schedule_monitor_h(h);
+        self.schedule_monitor(h);
     }
 
     // ------------------------------------------------------------------
@@ -2469,18 +2098,8 @@ impl TransportEntity {
         if osdu.is_some() {
             // Credit for the freed slot, then resume any stalled pending
             // deliveries — one borrow for the pop + credit + drain batch.
-            let freed = k.freed_total();
-            if freed > k.last_freed_sent {
-                k.last_freed_sent = freed;
-                self.send_control(
-                    peer,
-                    ControlMsg::Credit {
-                        vc,
-                        freed_total: freed,
-                    },
-                );
-            }
-            self.drain_pending_locked(st, h, now);
+            self.send_credit(vc, peer, k, false);
+            self.drain_pending(st, h, now);
         }
         Ok(osdu)
     }
@@ -2559,18 +2178,32 @@ impl TransportEntity {
             .ok_or(ServiceError::TsapUnbound)
     }
 
+    /// Run `f` on the table entry of `vc` and its handle — the one id
+    /// lookup of a service call. `UnknownVc` when the VC is not open here.
+    fn with_entry<R>(
+        &self,
+        vc: VcId,
+        f: impl FnOnce(SlabHandle, &mut VcEntry) -> Result<R, ServiceError>,
+    ) -> Result<R, ServiceError> {
+        let mut st = self.state.borrow_mut();
+        let h = st.vcs.resolve(vc).ok_or(ServiceError::UnknownVc)?;
+        f(h, st.vcs.at_mut(h).ok_or(ServiceError::UnknownVc)?)
+    }
+
     /// Register the orchestration tap for a VC.
     pub(crate) fn register_tap(&self, vc: VcId, tap: Rc<dyn VcTap>) -> Result<(), ServiceError> {
-        let mut st = self.state.borrow_mut();
-        if !st.vcs.set_tap(vc, tap) {
-            return Err(ServiceError::UnknownVc);
-        }
-        Ok(())
+        self.with_entry(vc, |_, e| {
+            e.tap = Some(tap);
+            Ok(())
+        })
     }
 
     /// Remove the orchestration tap for a VC.
     pub(crate) fn clear_tap(&self, vc: VcId) {
-        self.state.borrow_mut().vcs.clear_tap(&vc);
+        let _ = self.with_entry(vc, |_, e| {
+            e.tap = None;
+            Ok(())
+        });
     }
 
     /// Register the source-side egress tap for a VC.
@@ -2579,16 +2212,18 @@ impl TransportEntity {
         vc: VcId,
         tap: Rc<dyn EgressTap>,
     ) -> Result<(), ServiceError> {
-        let mut st = self.state.borrow_mut();
-        if !st.vcs.set_egress(vc, tap) {
-            return Err(ServiceError::UnknownVc);
-        }
-        Ok(())
+        self.with_entry(vc, |_, e| {
+            e.egress = Some(tap);
+            Ok(())
+        })
     }
 
     /// Remove the egress tap for a VC.
     pub(crate) fn clear_egress_tap(&self, vc: VcId) {
-        self.state.borrow_mut().vcs.clear_egress(&vc);
+        let _ = self.with_entry(vc, |_, e| {
+            e.egress = None;
+            Ok(())
+        });
     }
 
     /// Send an opaque control payload to the VC's peer LLO (§5's OPDU
@@ -2598,68 +2233,52 @@ impl TransportEntity {
         vc: VcId,
         payload: Rc<dyn Any>,
     ) -> Result<(), ServiceError> {
-        if self.state.borrow().vcs.resolve(vc).is_none() {
+        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
             return Err(ServiceError::UnknownVc);
-        }
+        };
         // On a group VC this fans the OPDU out to every member over the
         // shared tree — the session layer's room-wide control channel.
-        self.send_source_feedback(vc, ControlMsg::UserControl { vc, payload });
+        self.send_source_feedback(h, ControlMsg::UserControl { vc, payload });
         Ok(())
     }
 
     /// Freeze the source's transmission instantly (Orch.Stop, §6.2.3).
-    pub(crate) fn pause_source(self: &Rc<Self>, vc: VcId) -> Result<(), ServiceError> {
-        let mut st = self.state.borrow_mut();
-        let s = st
-            .vcs
-            .get_mut(&vc)
-            .and_then(|v| v.source.as_mut())
-            .ok_or(ServiceError::UnknownVc)?;
-        s.clock.pause();
-        if let Some(t) = &s.tick_timer {
-            t.disarm();
-        }
-        Ok(())
+    pub(crate) fn pause_source(&self, vc: VcId) -> Result<(), ServiceError> {
+        self.with_entry(vc, |_, e| {
+            let s = e.vc.source.as_mut().ok_or(ServiceError::UnknownVc)?;
+            s.clock.pause();
+            if let Some(t) = &s.tick_timer {
+                t.disarm();
+            }
+            Ok(())
+        })
     }
 
     /// Resume a paused source (Orch.Start, §6.2.2).
-    pub(crate) fn resume_source(self: &Rc<Self>, vc: VcId) -> Result<(), ServiceError> {
+    pub(crate) fn resume_source(&self, vc: VcId) -> Result<(), ServiceError> {
         let now = self.local_now();
-        {
-            let mut st = self.state.borrow_mut();
-            let s = st
-                .vcs
-                .get_mut(&vc)
-                .and_then(|v| v.source.as_mut())
-                .ok_or(ServiceError::UnknownVc)?;
+        let h = self.with_entry(vc, |h, e| {
+            let s = e.vc.source.as_mut().ok_or(ServiceError::UnknownVc)?;
             s.clock.resume(now);
-        }
-        self.ensure_tick_now(vc);
+            Ok(h)
+        })?;
+        self.ensure_tick(h, self.now());
         Ok(())
     }
 
     /// Retune the source's pacing rate to `base × num/den` (the LLO's
     /// fine-grained regulation, §6.3.1).
-    pub(crate) fn set_rate_factor(
-        self: &Rc<Self>,
-        vc: VcId,
-        num: u64,
-        den: u64,
-    ) -> Result<(), ServiceError> {
+    pub(crate) fn set_rate_factor(&self, vc: VcId, num: u64, den: u64) -> Result<(), ServiceError> {
         if num == 0 || den == 0 {
             return Err(ServiceError::BadArgument("zero rate factor"));
         }
         let now = self.local_now();
-        {
-            let mut st = self.state.borrow_mut();
-            let s = st
-                .vcs
-                .get_mut(&vc)
-                .and_then(|v| v.source.as_mut())
-                .ok_or(ServiceError::UnknownVc)?;
+        let h = self.with_entry(vc, |h, e| {
+            let s = e.vc.source.as_mut().ok_or(ServiceError::UnknownVc)?;
             s.clock.set_factor(num, den, now);
-        }
-        self.ensure_tick_now(vc);
+            Ok(h)
+        })?;
+        self.ensure_tick(h, self.now());
         Ok(())
     }
 
@@ -2667,28 +2286,24 @@ impl TransportEntity {
     /// source shared buffer pointer" (§6.3.1.1). The receiver is notified
     /// so the gap is not treated as loss. Returns whether anything was
     /// dropped.
-    pub(crate) fn source_drop_one(self: &Rc<Self>, vc: VcId) -> Result<bool, ServiceError> {
+    pub(crate) fn source_drop_one(&self, vc: VcId) -> Result<bool, ServiceError> {
         let now = self.now();
-        let dropped = {
-            let mut st = self.state.borrow_mut();
-            let v = st.vcs.get_mut(&vc).ok_or(ServiceError::UnknownVc)?;
-            let s = v
-                .source
-                .as_mut()
-                .ok_or(ServiceError::WrongState("drop on sink end"))?;
-            match s.send_buf.try_pop(now) {
-                Some(osdu) => {
-                    s.charged += 1;
-                    s.dropped += 1;
-                    Some(osdu.seq())
-                }
-                None => None,
-            }
-        };
+        let (h, dropped) = self.with_entry(vc, |h, e| {
+            let s =
+                e.vc.source
+                    .as_mut()
+                    .ok_or(ServiceError::WrongState("drop on sink end"))?;
+            let dropped = s.send_buf.try_pop(now).map(|osdu| {
+                s.charged += 1;
+                s.dropped += 1;
+                osdu.seq()
+            });
+            Ok((h, dropped))
+        })?;
         match dropped {
             Some(seq) => {
                 self.send_source_feedback(
-                    vc,
+                    h,
                     ControlMsg::Dropped {
                         vc,
                         seqs: vec![seq],
@@ -2721,16 +2336,12 @@ impl TransportEntity {
     /// Flush this end's buffer (stop + seek, §6.2.1). At the source the
     /// flushed OSDUs are declared dropped so the receiver does not count
     /// them lost; at the sink the freed slots are credited back.
-    pub(crate) fn flush_local(self: &Rc<Self>, vc: VcId) -> Result<usize, ServiceError> {
+    pub(crate) fn flush_local(&self, vc: VcId) -> Result<usize, ServiceError> {
         let now = self.now();
-        enum Which {
-            Src { first: u64, n: usize },
-            Snk { n: usize },
-        }
-        let which = {
-            let mut st = self.state.borrow_mut();
-            let v = st.vcs.get_mut(&vc).ok_or(ServiceError::UnknownVc)?;
-            match v.role {
+        // At the source: the handle and the flushed sequence range.
+        let (n, dropped) = self.with_entry(vc, |h, e| {
+            let v = &mut e.vc;
+            Ok(match v.role {
                 VcRole::Source => {
                     let s = v.source.as_mut().expect("source end");
                     let n = s.send_buf.flush(now);
@@ -2739,7 +2350,7 @@ impl TransportEntity {
                     let first = s.charged;
                     s.charged += n as u64;
                     s.dropped += n as u64;
-                    Which::Src { first, n }
+                    (n, Some((h, first)))
                 }
                 VcRole::Sink => {
                     let k = v.sink.as_mut().expect("sink end");
@@ -2747,30 +2358,15 @@ impl TransportEntity {
                     k.pending_delivery.clear();
                     // Freed without application delivery.
                     k.app_popped += n as u64;
-                    Which::Snk { n }
+                    self.send_credit(vc, v.peer_node, k, false);
+                    (n, None)
                 }
-            }
-        };
-        match which {
-            Which::Src { first, n } => {
-                if n > 0 {
-                    let seqs: Vec<u64> = (first..first + n as u64).collect();
-                    self.send_source_feedback(vc, ControlMsg::Dropped { vc, seqs });
-                }
-                Ok(n)
-            }
-            Which::Snk { n } => {
-                self.maybe_send_credit(vc);
-                Ok(n)
-            }
+            })
+        })?;
+        if let (Some((h, first)), true) = (dropped, n > 0) {
+            let seqs: Vec<u64> = (first..first + n as u64).collect();
+            self.send_source_feedback(h, ControlMsg::Dropped { vc, seqs });
         }
-    }
-}
-
-impl Vc {
-    /// Slot for a tolerance received in a `RenegotiateRequest`, awaiting
-    /// the local user's response.
-    pub(crate) fn pending_renegotiation(&mut self) -> &mut Option<QosTolerance> {
-        &mut self.pending_reneg
+        Ok(n)
     }
 }

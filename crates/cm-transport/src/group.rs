@@ -23,11 +23,12 @@
 
 use crate::entity::TransportEntity;
 use crate::tpdu::ControlMsg;
-use crate::vc::{SourceEnd, Vc, VcRole};
+use crate::vc::{SourceEnd, Vc, VcEnd};
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
 use cm_core::qos::{GuaranteeMode, QosParams, QosRequirement};
 use cm_core::service_class::{ProtocolProfile, ServiceClass};
+use cm_core::slab::SlabHandle;
 use cm_core::time::{Bandwidth, SimTime};
 use netsim::GroupId;
 use std::collections::BTreeMap;
@@ -250,53 +251,33 @@ impl TransportEntity {
             tsap,
         };
         let slots = self.buffer_slots(&requirement);
-        let mut clock = crate::rate::RateClock::new(requirement.osdu_rate);
-        clock.start(self.local_now());
-        let source = SourceEnd {
-            send_buf: crate::buffer::BufferHandle::new(slots),
-            clock,
-            gbn: None,
-            pending_frags: std::collections::VecDeque::new(),
-            next_write_seq: 0,
-            charged: 0,
-            freed_remote: 0,
-            // No receivers yet: credit never gates; recomputed per join.
-            recv_capacity: u64::MAX,
-            dropped: 0,
-            sent: 0,
-            retrans_cache: std::collections::VecDeque::new(),
-            retrans_cache_cap: slots * 4,
-            tick_timer: None,
-            rto_timer: None,
-            waiting_buffer: false,
-            stalled_credit: false,
-            stalled_at: None,
-            rto_strikes: 0,
-            dropped_snap: 0,
-        };
-        let v = Vc {
-            id: vc,
-            triple: AddressTriple {
+        // No receivers yet: credit never gates; recomputed per join.
+        let source = SourceEnd::new(
+            slots,
+            requirement.osdu_rate,
+            self.local_now(),
+            None,
+            u64::MAX,
+            slots * 4,
+        );
+        let mut v = Vc::new(
+            vc,
+            AddressTriple {
                 initiator: me,
                 source: me,
                 destination: me,
             },
             class,
             requirement,
-            contract: requirement.tolerance.preferred,
-            role: VcRole::Source,
-            peer_node: self.node,
-            local_tsap: tsap,
-            source: Some(source),
-            sink: None,
-            group: Some(GroupEnd::new(group)),
-            pending_reneg: None,
-        };
+            requirement.tolerance.preferred,
+            VcEnd::Source(source),
+        );
+        v.group = Some(GroupEnd::new(group));
         let h = self.state.borrow_mut().vcs.insert(vc, v);
         self.attach_source_timers(h);
         // The empty group's derivation: registers the preferred contract
         // with the auditor and arms the first tick.
-        self.recompute_group(vc);
+        self.recompute_group(h);
         Ok(vc)
     }
 
@@ -310,9 +291,10 @@ impl TransportEntity {
         vc: VcId,
         to: TransportAddr,
     ) -> Result<(), ServiceError> {
-        let (group, class, requirement, local_tsap, start_seq) = {
+        let (h, group, class, requirement, local_tsap, start_seq) = {
             let st = self.state.borrow();
-            let v = st.vcs.get(&vc).ok_or(ServiceError::UnknownVc)?;
+            let h = st.vcs.resolve(vc).ok_or(ServiceError::UnknownVc)?;
+            let v = &st.vcs.at(h).ok_or(ServiceError::UnknownVc)?.vc;
             let ge = v
                 .group
                 .as_ref()
@@ -326,7 +308,7 @@ impl TransportEntity {
                 return Err(ServiceError::WrongState("node already in the group"));
             }
             let s = v.source.as_ref().expect("group source end");
-            (ge.group, v.class, v.requirement, v.local_tsap, s.charged)
+            (h, ge.group, v.class, v.requirement, v.local_tsap, s.charged)
         };
         let deny = |reason: DisconnectReason| {
             self.to_user(local_tsap, move |svc, u| {
@@ -360,7 +342,7 @@ impl TransportEntity {
         }
         {
             let mut st = self.state.borrow_mut();
-            if let Some(ge) = st.vcs.get_mut(&vc).and_then(|v| v.group.as_mut()) {
+            if let Some(ge) = st.vcs.at_mut(h).and_then(|e| e.vc.group.as_mut()) {
                 ge.invite(to, start_seq);
             }
         }
@@ -394,9 +376,12 @@ impl TransportEntity {
         member: TransportAddr,
         result: Result<(QosParams, u32), DisconnectReason>,
     ) {
-        let (group, local_tsap) = {
+        let (h, group, local_tsap) = {
             let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
+            let Some(h) = st.vcs.resolve(vc) else { return };
+            let Some(v) = st.vcs.at_mut(h).map(|e| &mut e.vc) else {
+                return;
+            };
             let tsap = v.local_tsap;
             let Some(ge) = v.group.as_mut() else { return };
             let Some(invited) = ge.take_pending(member.node) else {
@@ -405,11 +390,11 @@ impl TransportEntity {
             if let Ok((agreed, capacity)) = result {
                 ge.admit(invited, agreed, capacity as u64);
             }
-            (ge.group, tsap)
+            (h, ge.group, tsap)
         };
         match result {
             Ok((agreed, _)) => {
-                self.recompute_group(vc);
+                self.recompute_group(h);
                 self.to_user(local_tsap, move |svc, u| {
                     u.t_group_join_confirm(svc, vc, member, Ok(agreed))
                 });
@@ -428,20 +413,22 @@ impl TransportEntity {
     /// branch, restore the group contract, tell the sending user.
     pub(crate) fn group_member_left(
         self: &Rc<Self>,
-        vc: VcId,
+        h: SlabHandle,
         member: NetAddr,
         reason: DisconnectReason,
     ) {
-        let (gone, group, local_tsap) = {
+        let (vc, gone, group, local_tsap) = {
             let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
-            let tsap = v.local_tsap;
+            let Some(v) = st.vcs.at_mut(h).map(|e| &mut e.vc) else {
+                return;
+            };
+            let (vc, tsap) = (v.id, v.local_tsap);
             let Some(ge) = v.group.as_mut() else { return };
-            (ge.remove(member), ge.group, tsap)
+            (vc, ge.remove(member), ge.group, tsap)
         };
         let Some(addr) = gone else { return };
         self.net.group_leave(group, member);
-        self.recompute_group(vc);
+        self.recompute_group(h);
         self.to_user(local_tsap, move |svc, u| {
             u.t_group_leave_indication(svc, vc, addr, reason)
         });
@@ -453,16 +440,20 @@ impl TransportEntity {
         vc: VcId,
         member: NetAddr,
     ) -> Result<(), ServiceError> {
-        let group = {
+        let (h, group) = {
             let mut st = self.state.borrow_mut();
-            let v = st.vcs.get_mut(&vc).ok_or(ServiceError::UnknownVc)?;
-            let ge = v
+            let h = st.vcs.resolve(vc).ok_or(ServiceError::UnknownVc)?;
+            let ge = st
+                .vcs
+                .at_mut(h)
+                .ok_or(ServiceError::UnknownVc)?
+                .vc
                 .group
                 .as_mut()
                 .ok_or(ServiceError::WrongState("not a group VC"))?;
             ge.remove(member)
                 .ok_or(ServiceError::BadArgument("node is not a group member"))?;
-            ge.group
+            (h, ge.group)
         };
         self.send_control(
             member,
@@ -473,7 +464,7 @@ impl TransportEntity {
             },
         );
         self.net.group_leave(group, member);
-        self.recompute_group(vc);
+        self.recompute_group(h);
         Ok(())
     }
 
@@ -510,11 +501,13 @@ impl TransportEntity {
     /// changed nothing: `set_factor` rebases the pacing clock and the
     /// re-arm takes a fresh sequence number, so both are part of the
     /// same-instant firing order.
-    pub(crate) fn on_group_credit(self: &Rc<Self>, vc: VcId, from: NetAddr, freed_total: u64) {
+    pub(crate) fn on_group_credit(self: &Rc<Self>, h: SlabHandle, from: NetAddr, freed_total: u64) {
         let local = self.local_now();
         let resume = {
             let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
+            let Some(v) = st.vcs.at_mut(h).map(|e| &mut e.vc) else {
+                return;
+            };
             let Some(ge) = v.group.as_mut() else { return };
             if !ge.credit(from, freed_total) {
                 return;
@@ -523,7 +516,7 @@ impl TransportEntity {
             debug_assert_eq!(v.contract, ge.contract(v.requirement.tolerance.preferred));
             apply_aggregate(v, local)
         };
-        self.resume_or_rearm(vc, resume);
+        self.resume_or_rearm(h, resume);
     }
 
     /// The one full derivation of the group-wide contract, called exactly
@@ -535,11 +528,13 @@ impl TransportEntity {
     /// - credit = the slowest member's window (conservative: smallest
     ///   capacity, smallest cumulative freed), kept by [`GroupEnd`];
     /// - pacing = base rate × contracted/preferred throughput.
-    pub(crate) fn recompute_group(self: &Rc<Self>, vc: VcId) {
+    pub(crate) fn recompute_group(self: &Rc<Self>, h: SlabHandle) {
         let local = self.local_now();
         let resume = {
             let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
+            let Some(v) = st.vcs.at_mut(h).map(|e| &mut e.vc) else {
+                return;
+            };
             let Some(ge) = v.group.as_ref() else { return };
             let contract = ge.contract(v.requirement.tolerance.preferred);
             v.contract = contract;
@@ -547,21 +542,21 @@ impl TransportEntity {
             // may weaken it, leaves restore it.
             if self.obs.enabled() {
                 self.obs.set_contract(
-                    vc.0,
+                    v.id.0,
                     contract.delay.as_micros(),
                     contract.packet_error_rate.as_ppb() / 1_000,
                 );
             }
             apply_aggregate(v, local)
         };
-        self.resume_or_rearm(vc, resume);
+        self.resume_or_rearm(h, resume);
     }
 
-    fn resume_or_rearm(self: &Rc<Self>, vc: VcId, resume: bool) {
+    fn resume_or_rearm(self: &Rc<Self>, h: SlabHandle, resume: bool) {
         if resume {
-            self.source_tick(vc);
+            self.source_tick(h);
         } else {
-            self.ensure_tick_now(vc);
+            self.ensure_tick(h, self.now());
         }
     }
 }

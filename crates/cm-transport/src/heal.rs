@@ -46,12 +46,14 @@
 //! is not detected — bounded by `heal_patience`.)
 
 use crate::entity::TransportEntity;
+use crate::service::EntityConfig;
 use crate::tpdu::ControlMsg;
 use cm_core::address::{NetAddr, VcId};
 use cm_core::error::DisconnectReason;
 use cm_core::osdu::Osdu;
 use cm_core::qos::GuaranteeMode;
-use cm_core::time::{Bandwidth, SimTime};
+use cm_core::slab::SlabHandle;
+use cm_core::time::{Bandwidth, SimDuration, SimTime};
 use cm_telemetry::Layer;
 use netsim::{GroupId, PeriodicTimer};
 use std::rc::Rc;
@@ -110,70 +112,100 @@ pub(crate) struct HealState {
     repairs: u64,
 }
 
+impl HealState {
+    /// Healing state around `timer`, no episode open yet.
+    fn new(timer: PeriodicTimer, reason: HealReason, now: SimTime, patience: SimDuration) -> Self {
+        HealState {
+            timer,
+            active: false,
+            reason,
+            saw_fault: false,
+            since: now,
+            tries: 0,
+            backoff: patience,
+            attempts: 0,
+            repairs: 0,
+        }
+    }
+
+    /// Open an episode for `reason` unless one is running: the first
+    /// probe fires after `patience`.
+    fn open(&mut self, reason: HealReason, now: SimTime, patience: SimDuration) {
+        if self.active {
+            return;
+        }
+        self.active = true;
+        self.reason = reason;
+        self.saw_fault = false;
+        self.since = now;
+        self.tries = 0;
+        self.backoff = patience;
+        self.timer.arm_at(now + patience);
+    }
+
+    /// Spend one try of the episode and schedule the next probe: after a
+    /// `failed` repair attempt with exponential backoff up to the cap,
+    /// otherwise (a repair that left the source stalled) at patience
+    /// cadence. Once the try budget is spent the episode closes instead
+    /// and the answer is `true`: give up — so a truly dead path or sink
+    /// still converges.
+    fn retry(&mut self, now: SimTime, failed: bool, cfg: &EntityConfig) -> bool {
+        if failed {
+            self.attempts += 1;
+        }
+        self.tries += 1;
+        if self.tries >= cfg.heal_max_attempts {
+            self.active = false;
+            return true;
+        }
+        if failed {
+            self.timer.arm_at(now + self.backoff);
+            self.backoff = self.backoff.saturating_mul(2).min(cfg.heal_backoff_cap);
+        } else {
+            self.timer.arm_at(now + cfg.heal_patience);
+        }
+        false
+    }
+
+    /// Close the episode: the signal cleared (or was never a fault).
+    fn close(&mut self) {
+        self.active = false;
+        self.timer.disarm();
+    }
+}
+
 impl TransportEntity {
     // ------------------------------------------------------------------
     // Detection entry points
     // ------------------------------------------------------------------
 
-    /// Open (or reinforce) a healing episode for `vc`. No-op unless `vc`
-    /// is an open source end — repair is the sender's job.
-    pub(crate) fn heal_kick(self: &Rc<Self>, vc: VcId, reason: HealReason) {
+    /// Open (or reinforce) a healing episode for the VC behind `h`. No-op
+    /// unless it is an open source end — repair is the sender's job.
+    pub(crate) fn heal_kick(self: &Rc<Self>, h: SlabHandle, reason: HealReason) {
         let now = self.now();
-        {
-            let st = self.state.borrow();
-            if st.vcs.get(&vc).and_then(|v| v.source.as_ref()).is_none() {
-                return;
-            }
-        }
-        if !self.state.borrow().vcs.has_heal(&vc) {
+        let patience = self.config.heal_patience;
+        let mut st = self.state.borrow_mut();
+        let Some(e) = st.vcs.at_mut(h).filter(|e| e.vc.source.is_some()) else {
+            return;
+        };
+        let hs = e.heal.get_or_insert_with(|| {
             let weak = Rc::downgrade(self);
             let timer = PeriodicTimer::new(self.net.engine(), move |_| {
                 if let Some(me) = weak.upgrade() {
-                    me.heal_fire(vc);
+                    me.heal_fire(h);
                 }
             });
-            self.state.borrow_mut().vcs.set_heal(
-                vc,
-                HealState {
-                    timer,
-                    active: false,
-                    reason,
-                    saw_fault: false,
-                    since: now,
-                    tries: 0,
-                    backoff: self.config.heal_patience,
-                    attempts: 0,
-                    repairs: 0,
-                },
-            );
-        }
-        let patience = self.config.heal_patience;
-        let mut st = self.state.borrow_mut();
-        let hs = st.vcs.heal_mut(&vc).expect("heal state just ensured");
-        if !hs.active {
-            hs.active = true;
-            hs.reason = reason;
-            hs.saw_fault = false;
-            hs.since = now;
-            hs.tries = 0;
-            hs.backoff = patience;
-            hs.timer.arm_at(now + patience);
-        }
-    }
-
-    /// A source newly stalled on exhausted credit (called from the data
-    /// path at the stall transition).
-    pub(crate) fn heal_on_stall(self: &Rc<Self>, vc: VcId) {
-        self.heal_kick(vc, HealReason::Stall);
+            HealState::new(timer, reason, now, patience)
+        });
+        hs.open(reason, now, patience);
     }
 
     /// Lifetime `(attempts, repairs)` counters for `vc`'s healing state.
     pub(crate) fn heal_stats(&self, vc: VcId) -> (u64, u64) {
-        self.state
-            .borrow()
-            .vcs
-            .heal(&vc)
-            .map(|h| (h.attempts, h.repairs))
+        let st = self.state.borrow();
+        let h = st.vcs.resolve(vc);
+        h.and_then(|h| st.vcs.at(h)?.heal.as_ref())
+            .map(|hs| (hs.attempts, hs.repairs))
             .unwrap_or((0, 0))
     }
 
@@ -181,167 +213,114 @@ impl TransportEntity {
     // The probe
     // ------------------------------------------------------------------
 
-    pub(crate) fn heal_fire(self: &Rc<Self>, vc: VcId) {
+    fn heal_fire(self: &Rc<Self>, h: SlabHandle) {
         let now = self.now();
-        // A crashed node must not diagnose (and tear down!) its own VCs;
-        // hold the episode until the node itself is back.
-        if !self.net.is_node_up(self.node) {
-            let st = self.state.borrow();
-            if let Some(hs) = st.vcs.heal(&vc) {
-                if hs.active {
-                    hs.timer.arm_at(now + self.config.heal_backoff_cap);
-                }
-            }
-            return;
-        }
+        let node_up = self.net.is_node_up(self.node);
         enum Probe {
             Unicast {
+                vc: VcId,
                 peer: NetAddr,
-                needs_resv: bool,
-                bandwidth: Bandwidth,
-                stalled: bool,
-                window: bool,
+                reserved: Option<Bandwidth>,
             },
-            Group {
-                group: GroupId,
-                stalled: bool,
-            },
+            Group(GroupId),
         }
-        let probe = {
+        let (probe, stalled) = {
             let st = self.state.borrow();
             // The probe timer lives in the entry: a released VC never
             // gets here, and only source ends are ever kicked.
-            let Some(v) = st.vcs.get(&vc) else { return };
-            let Some(s) = v.source.as_ref() else { return };
-            let stalled = s.stalled_credit;
-            match &v.group {
-                Some(ge) => Probe::Group {
-                    group: ge.group,
-                    stalled,
-                },
-                None => Probe::Unicast {
-                    peer: v.peer_node,
-                    needs_resv: v.requirement.guarantee != GuaranteeMode::BestEffort,
-                    bandwidth: v.contract.throughput,
-                    stalled,
-                    window: s.gbn.is_some(),
-                },
+            let Some(e) = st.vcs.at(h) else { return };
+            if !node_up {
+                // A crashed node must not diagnose (and tear down!) its
+                // own VCs; hold the episode until the node itself is back.
+                if let Some(hs) = e.heal.as_ref().filter(|hs| hs.active) {
+                    hs.timer.arm_at(now + self.config.heal_backoff_cap);
+                }
+                return;
             }
+            let v = &e.vc;
+            let Some(s) = v.source.as_ref() else { return };
+            let probe = match &v.group {
+                Some(ge) => Probe::Group(ge.group),
+                None => Probe::Unicast {
+                    vc: v.id,
+                    peer: v.peer_node,
+                    reserved: (v.requirement.guarantee != GuaranteeMode::BestEffort)
+                        .then_some(v.contract.throughput),
+                },
+            };
+            (probe, s.stalled_credit)
         };
         match probe {
-            Probe::Unicast {
-                peer,
-                needs_resv,
-                bandwidth,
-                stalled,
-                window,
-            } => self.probe_unicast(vc, peer, needs_resv, bandwidth, stalled, window, now),
-            Probe::Group { group, stalled } => self.probe_group(vc, group, stalled, now),
+            Probe::Unicast { vc, peer, reserved } => {
+                self.probe_unicast(h, vc, peer, reserved, stalled, now)
+            }
+            Probe::Group(group) => self.probe_group(h, group, stalled, now),
         }
     }
 
-    /// Probe + repair a point-to-point source end (the reroute path).
-    #[allow(clippy::too_many_arguments)]
+    /// Probe + repair a point-to-point source end (the reroute path);
+    /// `reserved` is the throughput a guaranteed VC holds on its path.
     fn probe_unicast(
         self: &Rc<Self>,
+        h: SlabHandle,
         vc: VcId,
         peer: NetAddr,
-        needs_resv: bool,
-        bandwidth: Bandwidth,
+        reserved: Option<Bandwidth>,
         stalled: bool,
-        window: bool,
         now: SimTime,
     ) {
         let route_ok = self.net.route(self.node, peer).is_some();
-        let resv = needs_resv
-            .then(|| self.net.reservation_intact(vc))
-            .flatten();
-        let resv_broken = needs_resv && !matches!(resv, Some(true));
+        let resv = reserved.and_then(|_| self.net.reservation_intact(vc));
+        let resv_broken = reserved.is_some() && !matches!(resv, Some(true));
         if !route_ok || resv_broken {
-            self.heal_note_fault(vc);
+            self.heal_note_fault(h);
         }
         if !route_ok {
-            self.heal_attempt_failed(vc, now);
-            return;
+            return self.heal_retry(h, now, true);
         }
-        let mut rerouted = false;
-        if resv_broken {
+        if let (true, Some(bandwidth)) = (resv_broken, reserved) {
             if resv == Some(false) {
                 // Held, but charging a dead link: move it to the detour.
                 self.net.release_reservation(vc);
             }
-            match self.net.reserve_path(vc, self.node, peer, bandwidth) {
-                Some(Ok(())) => rerouted = true,
-                _ => {
-                    self.heal_attempt_failed(vc, now);
-                    return;
-                }
+            if !matches!(
+                self.net.reserve_path(vc, self.node, peer, bandwidth),
+                Some(Ok(()))
+            ) {
+                return self.heal_retry(h, now, true);
             }
         }
-        let saw_fault = {
-            let st = self.state.borrow();
-            st.vcs.heal(&vc).map(|h| h.saw_fault).unwrap_or(false)
-        };
-        let mut unstuck = false;
-        if stalled && (rerouted || saw_fault) {
-            unstuck = self.unstick_source(vc);
-        }
-        if window && (rerouted || saw_fault) {
-            // Nudge the window machinery: clear the strike counter and let
-            // go-back-N's own retransmission drive recovery over the
-            // repaired path.
-            let mut st = self.state.borrow_mut();
-            if let Some(s) = st.vcs.get_mut(&vc).and_then(|v| v.source.as_mut()) {
-                s.rto_strikes = 0;
-            }
-        }
-        if rerouted || unstuck {
-            self.heal_repaired(vc, now, rerouted.then_some("vc.reroute"));
-        }
-        // Episode state machine: a persisting stall re-probes (bounded by
-        // tries); otherwise the episode is over.
-        let still_stalled = {
-            let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .and_then(|v| v.source.as_ref())
-                .map(|s| s.stalled_credit)
-                .unwrap_or(false)
-        };
-        if still_stalled && saw_fault {
-            self.heal_reprobe(vc, now);
-        } else {
-            self.heal_end(vc);
-        }
+        self.heal_settle(h, now, stalled, resv_broken.then_some("vc.reroute"), |_| {});
     }
 
     /// Probe + repair a group source end (the regraft path).
-    fn probe_group(self: &Rc<Self>, vc: VcId, group: GroupId, stalled: bool, now: SimTime) {
+    fn probe_group(self: &Rc<Self>, h: SlabHandle, group: GroupId, stalled: bool, now: SimTime) {
         let refresh = match self.net.group_refresh(group) {
             Err(_) => {
                 // A detour branch exists but was denied admission — the
                 // tree cannot be healed yet.
-                self.heal_note_fault(vc);
-                self.heal_attempt_failed(vc, now);
-                return;
+                self.heal_note_fault(h);
+                return self.heal_retry(h, now, true);
             }
             Ok(r) => r,
         };
-        let acted =
-            refresh.links_added > 0 || refresh.links_removed > 0 || !refresh.unreachable.is_empty();
+        let (added, removed) = (refresh.links_added, refresh.links_removed);
+        let acted = added > 0 || removed > 0 || !refresh.unreachable.is_empty();
         if acted {
-            self.heal_note_fault(vc);
+            self.heal_note_fault(h);
         }
         // Members with no live path any more left the tree: prune their
         // sender-side state and surface a typed leave.
         let lost = refresh.unreachable.len();
         for member in refresh.unreachable {
-            let (gone, tsap) = {
+            let (vc, gone, tsap) = {
                 let mut st = self.state.borrow_mut();
-                let Some(v) = st.vcs.get_mut(&vc) else { return };
-                let tsap = v.local_tsap;
+                let Some(v) = st.vcs.at_mut(h).map(|e| &mut e.vc) else {
+                    return;
+                };
+                let (vc, tsap) = (v.id, v.local_tsap);
                 let Some(ge) = v.group.as_mut() else { return };
-                (ge.remove(member), tsap)
+                (vc, ge.remove(member), tsap)
             };
             if let Some(addr) = gone {
                 self.to_user(tsap, move |svc, u| {
@@ -351,105 +330,118 @@ impl TransportEntity {
         }
         if lost > 0 {
             // Credit floor and pacing re-derive from the surviving set.
-            self.recompute_group(vc);
+            self.recompute_group(h);
         }
-        let saw_fault = {
-            let st = self.state.borrow();
-            st.vcs.heal(&vc).map(|h| h.saw_fault).unwrap_or(false)
-        };
-        let mut unstuck = false;
-        if stalled && (acted || saw_fault) {
-            unstuck = self.unstick_source(vc);
-        }
-        if acted || unstuck {
-            self.heal_repaired(vc, now, acted.then_some("mcast.regraft"));
-            if acted && self.tel.enabled() {
+        let regraft = acted.then_some("mcast.regraft");
+        self.heal_settle(h, now, stalled, regraft, |vc| {
+            if self.tel.enabled() {
                 self.tel
                     .instant(now, Layer::Transport, "mcast.regraft.detail", |e| {
-                        e.u64("vc", vc.0)
+                        e.u64("vc", vc)
                             .u64("group", group.0 as u64)
-                            .u64("links_added", refresh.links_added as u64)
-                            .u64("links_removed", refresh.links_removed as u64)
+                            .u64("links_added", added as u64)
+                            .u64("links_removed", removed as u64)
                             .u64("members_lost", lost as u64);
                     });
             }
-        }
-        let still_stalled = {
-            let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .and_then(|v| v.source.as_ref())
-                .map(|s| s.stalled_credit)
-                .unwrap_or(false)
-        };
-        if still_stalled && saw_fault {
-            self.heal_reprobe(vc, now);
-        } else {
-            self.heal_end(vc);
-        }
+        });
     }
 
     // ------------------------------------------------------------------
     // Episode bookkeeping
     // ------------------------------------------------------------------
 
+    /// The tail every probe ends in once the network side is dealt with.
+    /// A stalled source is unstuck when this probe repaired the path
+    /// (`repair` names the headline event) or the episode saw a fault
+    /// earlier — a plain stall is backpressure, not a wedge — and a window
+    /// source's strike counter restarts on the same evidence. A repair of
+    /// the path or of the wedge is counted, `detail` adding to a path
+    /// repair's event. A stall that persists after a fault re-probes;
+    /// anything else ends the episode.
+    fn heal_settle(
+        self: &Rc<Self>,
+        h: SlabHandle,
+        now: SimTime,
+        stalled: bool,
+        repair: Option<&'static str>,
+        detail: impl FnOnce(u64),
+    ) {
+        let acted = repair.is_some();
+        let (vc, saw_fault) = {
+            let mut st = self.state.borrow_mut();
+            let Some(e) = st.vcs.at_mut(h) else { return };
+            let saw_fault = e.heal.as_ref().is_some_and(|hs| hs.saw_fault);
+            if acted || saw_fault {
+                // Nudge the window machinery: go-back-N's own
+                // retransmission drives recovery over the repaired path.
+                if let Some(s) = e.vc.source.as_mut().filter(|s| s.gbn.is_some()) {
+                    s.rto_strikes = 0;
+                }
+            }
+            (e.vc.id, saw_fault)
+        };
+        let unstuck = stalled && (acted || saw_fault) && self.unstick_source(h);
+        if acted || unstuck {
+            self.heal_repaired(h, now, repair);
+            if acted {
+                detail(vc.0);
+            }
+        }
+        let still_stalled = {
+            let st = self.state.borrow();
+            let s = st.vcs.at(h).and_then(|e| e.vc.source.as_ref());
+            s.is_some_and(|s| s.stalled_credit)
+        };
+        if still_stalled && saw_fault {
+            self.heal_retry(h, now, false);
+        } else {
+            self.heal_end(h);
+        }
+    }
+
     /// The probe observed broken infrastructure: from here on the episode
     /// may take corrective actions that would be wrong for plain
     /// backpressure.
-    fn heal_note_fault(&self, vc: VcId) {
+    fn heal_note_fault(&self, h: SlabHandle) {
         let mut st = self.state.borrow_mut();
-        if let Some(hs) = st.vcs.heal_mut(&vc) {
+        if let Some(hs) = st.vcs.at_mut(h).and_then(|e| e.heal.as_mut()) {
             hs.saw_fault = true;
         }
     }
 
-    /// A repair attempt failed: exponential backoff, bounded give-up.
-    fn heal_attempt_failed(self: &Rc<Self>, vc: VcId, now: SimTime) {
+    /// Schedule the episode's next probe (see [`HealState::retry`]), or
+    /// give up: the path never came back, so surface it as a typed
+    /// disconnect instead of a silent forever-wedge.
+    fn heal_retry(self: &Rc<Self>, h: SlabHandle, now: SimTime, failed: bool) {
         let give_up = {
             let mut st = self.state.borrow_mut();
-            let Some(hs) = st.vcs.heal_mut(&vc) else {
-                return;
-            };
-            hs.attempts += 1;
-            hs.tries += 1;
-            if hs.tries >= self.config.heal_max_attempts {
-                hs.active = false;
-                true
-            } else {
-                hs.timer.arm_at(now + hs.backoff);
-                hs.backoff = hs
-                    .backoff
-                    .saturating_mul(2)
-                    .min(self.config.heal_backoff_cap);
-                false
-            }
+            let Some(e) = st.vcs.at_mut(h) else { return };
+            let Some(hs) = e.heal.as_mut() else { return };
+            hs.retry(now, failed, &self.config).then_some(e.vc.id)
         };
-        if give_up {
-            if self.tel.enabled() {
-                self.tel.count("vc.heal.giveup", 1);
-                self.tel
-                    .instant(now, Layer::Transport, "vc.heal.giveup", |e| {
-                        e.u64("vc", vc.0);
-                    });
-            }
-            // The path never came back: surface it as a typed disconnect
-            // instead of a silent forever-wedge.
-            self.teardown_local(vc, DisconnectReason::Unreachable, true);
+        let Some(vc) = give_up else { return };
+        if self.tel.enabled() {
+            self.tel.count("vc.heal.giveup", 1);
+            self.tel
+                .instant(now, Layer::Transport, "vc.heal.giveup", |e| {
+                    e.u64("vc", vc.0);
+                });
         }
+        self.teardown_local(vc, DisconnectReason::Unreachable, true);
     }
 
     /// A probe repaired something. `event` names the headline telemetry
     /// event (`vc.reroute` / `mcast.regraft`) when the repair touched
     /// network state; a bare unstick counts but stays quiet.
-    fn heal_repaired(&self, vc: VcId, now: SimTime, event: Option<&'static str>) {
-        let (reason, since, tries) = {
+    fn heal_repaired(&self, h: SlabHandle, now: SimTime, event: Option<&'static str>) {
+        let (vc, reason, since, tries) = {
             let mut st = self.state.borrow_mut();
-            let Some(hs) = st.vcs.heal_mut(&vc) else {
-                return;
-            };
+            let Some(e) = st.vcs.at_mut(h) else { return };
+            let Some(hs) = e.heal.as_mut() else { return };
             hs.attempts += 1;
             hs.repairs += 1;
-            (hs.reason, hs.since, hs.tries)
+            (e.vc.id, hs.reason, hs.since, hs.tries)
         };
         if !self.tel.enabled() {
             return;
@@ -467,45 +459,14 @@ impl TransportEntity {
         }
     }
 
-    /// Re-probe a repaired-but-still-stalled VC at patience cadence
-    /// (counts against the episode's try budget so a truly dead sink
-    /// still converges on give-up).
-    fn heal_reprobe(self: &Rc<Self>, vc: VcId, now: SimTime) {
-        let give_up = {
-            let mut st = self.state.borrow_mut();
-            let Some(hs) = st.vcs.heal_mut(&vc) else {
-                return;
-            };
-            hs.tries += 1;
-            if hs.tries >= self.config.heal_max_attempts {
-                hs.active = false;
-                true
-            } else {
-                hs.timer.arm_at(now + self.config.heal_patience);
-                false
-            }
-        };
-        if give_up {
-            if self.tel.enabled() {
-                self.tel.count("vc.heal.giveup", 1);
-                self.tel
-                    .instant(now, Layer::Transport, "vc.heal.giveup", |e| {
-                        e.u64("vc", vc.0);
-                    });
-            }
-            self.teardown_local(vc, DisconnectReason::Unreachable, true);
-        }
-    }
-
-    /// Close the episode: signal cleared (or was never a fault).
-    fn heal_end(&self, vc: VcId) {
+    /// Close the episode and let the RTO strike detector re-arm from zero.
+    fn heal_end(&self, h: SlabHandle) {
         let mut st = self.state.borrow_mut();
-        if let Some(hs) = st.vcs.heal_mut(&vc) {
-            hs.active = false;
-            hs.timer.disarm();
+        let Some(e) = st.vcs.at_mut(h) else { return };
+        if let Some(hs) = e.heal.as_mut() {
+            hs.close();
         }
-        if let Some(s) = st.vcs.get_mut(&vc).and_then(|v| v.source.as_mut()) {
-            // Let the RTO strike detector re-arm from zero.
+        if let Some(s) = e.vc.source.as_mut() {
             s.rto_strikes = 0;
         }
     }
@@ -521,10 +482,11 @@ impl TransportEntity {
     /// the sink (duplicate data, repeated drop notices and repeated
     /// credit reports are all absorbed), so repeated unsticks are safe.
     /// Returns whether anything was sent.
-    fn unstick_source(self: &Rc<Self>, vc: VcId) -> bool {
-        let plan = {
+    fn unstick_source(&self, h: SlabHandle) -> bool {
+        let (vc, resend, dropped) = {
             let st = self.state.borrow();
-            let Some(s) = st.vcs.get(&vc).and_then(|v| v.source.as_ref()) else {
+            let Some(e) = st.vcs.at(h) else { return false };
+            let Some(s) = e.vc.source.as_ref() else {
                 return false;
             };
             // The window profile recovers through go-back-N itself.
@@ -542,42 +504,18 @@ impl TransportEntity {
             // sink frees the slots instead of waiting forever.
             let cover_from = resend.first().map(|o| o.seq()).unwrap_or(s.charged);
             let dropped: Vec<u64> = (s.freed_remote..cover_from).collect();
-            (resend, dropped)
+            (e.vc.id, resend, dropped)
         };
-        let (resend, dropped) = plan;
         for osdu in resend {
-            self.transmit_osdu(vc, osdu, true, None);
+            self.transmit_osdu(h, osdu, true, None);
         }
         if !dropped.is_empty() {
-            self.send_source_feedback(vc, ControlMsg::Dropped { vc, seqs: dropped });
+            self.send_source_feedback(h, ControlMsg::Dropped { vc, seqs: dropped });
         }
-        self.send_source_feedback(vc, ControlMsg::CreditProbe { vc });
+        self.send_source_feedback(h, ControlMsg::CreditProbe { vc });
         if self.tel.enabled() {
             self.tel.count("vc.heal.unstick", 1);
         }
         true
-    }
-
-    /// Sink side of [`ControlMsg::CreditProbe`]: re-advertise the
-    /// cumulative freed total unconditionally (the delta gate in
-    /// `maybe_send_credit` would swallow a repeat of a lost report).
-    pub(crate) fn force_send_credit(self: &Rc<Self>, vc: VcId) {
-        let msg = {
-            let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
-            let peer = v.peer_node;
-            let Some(k) = v.sink.as_mut() else { return };
-            let freed = k.freed_total();
-            k.last_freed_sent = k.last_freed_sent.max(freed);
-            (peer, freed)
-        };
-        let (peer, freed) = msg;
-        self.send_control(
-            peer,
-            ControlMsg::Credit {
-                vc,
-                freed_total: freed,
-            },
-        );
     }
 }

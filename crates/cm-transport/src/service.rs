@@ -12,7 +12,7 @@
 use crate::buffer::BufferHandle;
 use crate::entity::TransportEntity;
 use crate::tpdu::QosReport;
-use crate::vc::{EndStats, VcRole};
+use crate::vc::{EndStats, Vc, VcRole};
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
 use cm_core::osdu::{Opdu, Osdu, Payload};
@@ -221,6 +221,14 @@ impl TransportService {
         TransportService { entity }
     }
 
+    /// Read from `vc`'s open endpoint — the lookup every introspection
+    /// getter shares. `UnknownVc` when the VC is not open here or `f`
+    /// finds nothing (the end it reads is the other one).
+    fn read_vc<T>(&self, vc: VcId, f: impl FnOnce(&Vc) -> Option<T>) -> Result<T, ServiceError> {
+        let st = self.entity.state.borrow();
+        st.vcs.get(&vc).and_then(f).ok_or(ServiceError::UnknownVc)
+    }
+
     /// The causal-tracing registry this entity stamps spans into.
     pub fn obs(&self) -> &cm_obs::Obs {
         self.entity.obs()
@@ -341,12 +349,7 @@ impl TransportService {
 
     /// The network-layer multicast group behind a group VC.
     pub fn group_id(&self, vc: VcId) -> Result<netsim::GroupId, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .and_then(|v| v.group.as_ref())
-            .map(|ge| ge.group)
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| v.group.as_ref().map(|ge| ge.group))
     }
 
     /// The admitted receivers of a group VC with their per-member
@@ -355,12 +358,10 @@ impl TransportService {
         &self,
         vc: VcId,
     ) -> Result<Vec<(TransportAddr, QosParams)>, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .and_then(|v| v.group.as_ref())
-            .map(|ge| ge.receivers().map(|r| (r.addr, r.contract)).collect())
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| {
+            let ge = v.group.as_ref()?;
+            Some(ge.receivers().map(|r| (r.addr, r.contract)).collect())
+        })
     }
 
     // ---- Data transfer (§3.7) --------------------------------------------
@@ -386,22 +387,12 @@ impl TransportService {
 
     /// Direct handle to the source-end shared circular buffer.
     pub fn send_handle(&self, vc: VcId) -> Result<BufferHandle, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .and_then(|v| v.source.as_ref())
-            .map(|s| s.send_buf.clone())
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| v.source.as_ref().map(|s| s.send_buf.clone()))
     }
 
     /// Direct handle to the sink-end shared circular buffer.
     pub fn recv_handle(&self, vc: VcId) -> Result<BufferHandle, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .and_then(|v| v.sink.as_ref())
-            .map(|k| k.recv_buf.clone())
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| v.sink.as_ref().map(|k| k.recv_buf.clone()))
     }
 
     // ---- Datagrams --------------------------------------------------------
@@ -495,7 +486,10 @@ impl TransportService {
     /// attempt at the source end. No-op for unknown or sink-side VCs —
     /// revocation repair is the sender's job.
     pub fn on_reservation_revoked(&self, vc: VcId) {
-        self.entity.heal_kick(vc, crate::heal::HealReason::Revoked);
+        let h = self.entity.state.borrow().vcs.resolve(vc);
+        if let Some(h) = h {
+            self.entity.heal_kick(h, crate::heal::HealReason::Revoked);
+        }
     }
 
     /// Cumulative self-healing statistics for a source-side VC:
@@ -527,50 +521,32 @@ impl TransportService {
 
     /// The contract currently in force.
     pub fn contract(&self, vc: VcId) -> Result<QosParams, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .map(|v| v.contract)
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| Some(v.contract))
     }
 
     /// This end's role on the VC.
     pub fn role(&self, vc: VcId) -> Result<VcRole, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .map(|v| v.role)
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| Some(v.role))
     }
 
     /// The VC's contracted logical-unit rate.
     pub fn osdu_rate(&self, vc: VcId) -> Result<Rate, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .map(|v| v.requirement.osdu_rate)
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| Some(v.requirement.osdu_rate))
     }
 
     /// The VC's address triple.
     pub fn triple(&self, vc: VcId) -> Result<AddressTriple, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .map(|v| v.triple)
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| Some(v.triple))
     }
 
     /// Source-end progress: `(charged, dropped, next_write_seq)` — OSDU
     /// sequence slots consumed by transmission or drop, lifetime drops,
     /// and the next sequence the application write will be assigned.
     pub fn source_progress(&self, vc: VcId) -> Result<(u64, u64, u64), ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .and_then(|v| v.source.as_ref())
-            .map(|s| (s.charged, s.dropped, s.next_write_seq))
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| {
+            let s = v.source.as_ref()?;
+            Some((s.charged, s.dropped, s.next_write_seq))
+        })
     }
 
     /// Test probe for a group VC's sending end: `(freed_remote, full
@@ -587,23 +563,17 @@ impl TransportService {
     /// application plus units resolved without delivery (drops,
     /// unrepairable losses) — the media position actually reached.
     pub fn sink_delivery_point(&self, vc: VcId) -> Result<u64, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .and_then(|v| v.sink.as_ref())
-            .map(|k| k.app_popped + k.engine.internal_freed)
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| {
+            v.sink
+                .as_ref()
+                .map(|k| k.app_popped + k.engine.internal_freed)
+        })
     }
 
     /// Sink-end progress: the next in-order OSDU sequence owed to the
     /// application (everything below is delivered, lost or dropped).
     pub fn sink_progress(&self, vc: VcId) -> Result<u64, ServiceError> {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .and_then(|v| v.sink.as_ref())
-            .map(|k| k.engine.next_expected())
-            .ok_or(ServiceError::UnknownVc)
+        self.read_vc(vc, |v| v.sink.as_ref().map(|k| k.engine.next_expected()))
     }
 
     /// Whether the VC is open at this end.
@@ -688,8 +658,8 @@ mod tests {
         svc_a
             .write_osdu(vc2, Payload::synthetic(0, 80), None)
             .expect("write");
-        svc_a.entity.source_tick_h(h1);
-        svc_a.entity.rto_fire_h(h1);
+        svc_a.entity.source_tick(h1);
+        svc_a.entity.rto_fire(h1);
         assert_eq!(
             svc_a.source_progress(vc2),
             Ok((0, 0, 1)),

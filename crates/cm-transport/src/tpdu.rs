@@ -11,7 +11,7 @@
 
 use cm_core::address::{AddressTriple, TransportAddr, VcId};
 use cm_core::error::DisconnectReason;
-use cm_core::osdu::{Opdu, Payload};
+use cm_core::osdu::{Opdu, Osdu, Payload};
 use cm_core::qos::{QosParams, QosRequirement, QosTolerance, QosViolation};
 use cm_core::service_class::ServiceClass;
 use cm_core::time::{SimDuration, SimTime};
@@ -54,6 +54,32 @@ impl DataTpdu {
     /// Wire size of this fragment.
     pub fn wire_size(&self) -> usize {
         self.frag_bytes + TPDU_HEADER
+    }
+
+    /// Segment `osdu` into its fragments on `vc` under `mtu`, every one
+    /// stamped as sent at `sent_at`; the final fragment carries the
+    /// payload.
+    pub(crate) fn fragments(
+        vc: VcId,
+        osdu: &Osdu,
+        mtu: usize,
+        sent_at: SimTime,
+    ) -> impl Iterator<Item = DataTpdu> + '_ {
+        let sizes = fragment_sizes(osdu.wire_size(), mtu);
+        let count = sizes.len() as u32;
+        sizes
+            .into_iter()
+            .enumerate()
+            .map(move |(i, bytes)| DataTpdu {
+                vc,
+                osdu_seq: osdu.seq(),
+                frag_index: i as u32,
+                frag_count: count,
+                frag_bytes: bytes,
+                opdu: osdu.opdu,
+                payload: (i as u32 + 1 == count).then(|| osdu.payload.clone()),
+                osdu_sent_at: sent_at,
+            })
     }
 }
 

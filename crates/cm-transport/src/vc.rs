@@ -15,7 +15,7 @@ use cm_core::address::{AddressTriple, NetAddr, Tsap, VcId};
 use cm_core::osdu::Osdu;
 use cm_core::qos::{QosParams, QosRequirement};
 use cm_core::service_class::ServiceClass;
-use cm_core::time::{SimDuration, SimTime};
+use cm_core::time::{Rate, SimDuration, SimTime};
 use netsim::PeriodicTimer;
 use std::collections::VecDeque;
 
@@ -77,7 +77,88 @@ pub struct SourceEnd {
     pub dropped_snap: u64,
 }
 
+/// What the credit gate in front of a fresh send let through.
+pub(crate) enum Pull {
+    /// Out of receiver credit; `new` marks the transition into the stall.
+    Stalled {
+        /// The stall began with this pull.
+        new: bool,
+    },
+    /// Credit allows, but the application has written nothing.
+    Empty,
+    /// The next OSDU, taken off the send buffer.
+    Osdu(Osdu),
+}
+
 impl SourceEnd {
+    /// A source end pacing at `rate` from local instant `start`, with
+    /// `slots` of send buffer, the receiver's granted `recv_capacity`, and
+    /// a retransmission cache of `cache_cap` OSDUs. Timers attach later,
+    /// once the entry has a slab handle to capture.
+    pub(crate) fn new(
+        slots: usize,
+        rate: Rate,
+        start: SimTime,
+        gbn: Option<GoBackNSender>,
+        recv_capacity: u64,
+        cache_cap: usize,
+    ) -> SourceEnd {
+        let mut clock = RateClock::new(rate);
+        clock.start(start);
+        SourceEnd {
+            send_buf: BufferHandle::new(slots),
+            clock,
+            gbn,
+            pending_frags: VecDeque::new(),
+            next_write_seq: 0,
+            charged: 0,
+            freed_remote: 0,
+            recv_capacity,
+            dropped: 0,
+            sent: 0,
+            retrans_cache: VecDeque::new(),
+            retrans_cache_cap: cache_cap,
+            tick_timer: None,
+            rto_timer: None,
+            waiting_buffer: false,
+            stalled_credit: false,
+            stalled_at: None,
+            rto_strikes: 0,
+            dropped_snap: 0,
+        }
+    }
+
+    /// The credit gate and buffer pop every fresh send goes through, at
+    /// the pacing tick and in the window pump alike. Out of credit, the
+    /// source is marked stalled (`stalled_at` stamps a new stall).
+    pub(crate) fn pull(&mut self, now: SimTime) -> Pull {
+        if !self.has_credit() {
+            let new = !self.stalled_credit;
+            if new {
+                self.stalled_at = Some(now);
+            }
+            self.stalled_credit = true;
+            return Pull::Stalled { new };
+        }
+        match self.send_buf.try_pop(now) {
+            Some(osdu) => Pull::Osdu(osdu),
+            None => Pull::Empty,
+        }
+    }
+
+    /// Charge one fresh transmission of `osdu` against the receiver's
+    /// credit, caching it for NACK repair when the class corrects.
+    pub(crate) fn charge(&mut self, osdu: &Osdu, cache: bool) {
+        self.charged += 1;
+        self.sent += 1;
+        if cache {
+            self.retrans_cache.push_back(osdu.clone());
+            while self.retrans_cache.len() > self.retrans_cache_cap {
+                self.retrans_cache.pop_front();
+            }
+        }
+    }
+
     /// OSDUs charged against receiver buffer slots but not yet freed.
     pub fn in_flight(&self) -> u64 {
         self.charged.saturating_sub(self.freed_remote)
@@ -123,6 +204,27 @@ impl SinkEnd {
     pub fn freed_total(&self) -> u64 {
         self.app_popped + self.engine.internal_freed
     }
+
+    /// The cumulative freed total to advertise, if credit is due: when it
+    /// grew past the last advertisement, or unconditionally when `force`d
+    /// (a credit probe asks again for a report the dead path may have
+    /// eaten). Records the advertisement as sent.
+    pub(crate) fn credit_due(&mut self, force: bool) -> Option<u64> {
+        let freed = self.freed_total();
+        if !force && freed <= self.last_freed_sent {
+            return None;
+        }
+        self.last_freed_sent = self.last_freed_sent.max(freed);
+        Some(freed)
+    }
+}
+
+/// The end a new [`Vc`] holds.
+pub(crate) enum VcEnd {
+    /// The sending end.
+    Source(SourceEnd),
+    /// The receiving end.
+    Sink(SinkEnd),
 }
 
 /// One open VC endpoint. An entity holds a `Vc` from the moment the
@@ -158,6 +260,50 @@ pub struct Vc {
     /// Tolerance received in a `RenegotiateRequest`, awaiting the local
     /// user's `T-Renegotiate.response`.
     pub pending_reneg: Option<cm_core::qos::QosTolerance>,
+}
+
+impl Vc {
+    /// An open endpoint of `triple`. The end decides the role, and with it
+    /// the peer node and the local TSAP; group state starts empty.
+    pub(crate) fn new(
+        id: VcId,
+        triple: AddressTriple,
+        class: ServiceClass,
+        requirement: QosRequirement,
+        contract: QosParams,
+        end: VcEnd,
+    ) -> Vc {
+        let (role, peer_node, local_tsap, source, sink) = match end {
+            VcEnd::Source(s) => (
+                VcRole::Source,
+                triple.destination.node,
+                triple.source.tsap,
+                Some(s),
+                None,
+            ),
+            VcEnd::Sink(k) => (
+                VcRole::Sink,
+                triple.source.node,
+                triple.destination.tsap,
+                None,
+                Some(k),
+            ),
+        };
+        Vc {
+            id,
+            triple,
+            class,
+            requirement,
+            contract,
+            role,
+            peer_node,
+            local_tsap,
+            source,
+            sink,
+            group: None,
+            pending_reneg: None,
+        }
+    }
 }
 
 /// Interval statistics harvested from one end of a VC, feeding

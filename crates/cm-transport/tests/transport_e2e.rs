@@ -5,7 +5,7 @@
 //! renegotiation.
 
 use cm_core::address::{AddressTriple, TransportAddr, Tsap, VcId};
-use cm_core::error::DisconnectReason;
+use cm_core::error::{DisconnectReason, ServiceError};
 use cm_core::media::MediaProfile;
 use cm_core::osdu::Payload;
 use cm_core::qos::{ErrorRate, QosParams, QosRequirement, QosTolerance};
@@ -757,6 +757,53 @@ fn refused_renegotiation_leaves_vc_open() {
         e,
         Ev::Disconnect(v, DisconnectReason::RenegotiationRefused) if *v == vc
     )));
+}
+
+/// A refusal answers the pending request: a later acceptance has nothing
+/// left to apply, so it errs and neither end's contract moves.
+#[test]
+fn refused_renegotiation_cannot_be_accepted_afterwards() {
+    let w = world(clean_params());
+    w.user_b.accept_reneg.set(false);
+    let vc = open_vc(&w, ServiceClass::cm_default(), telephone_req());
+    let before = (w.svc_a.contract(vc), w.svc_b.contract(vc));
+    w.svc_a
+        .t_renegotiate_request(vc, MediaProfile::audio_cd().tolerance(75))
+        .expect("reneg request");
+    w.net.engine().run_for(SimDuration::from_millis(100));
+    assert_eq!(
+        w.svc_b.t_renegotiate_response(vc, true),
+        Err(ServiceError::WrongState("no renegotiation pending"))
+    );
+    w.net.engine().run_for(SimDuration::from_millis(100));
+    assert_eq!((w.svc_a.contract(vc), w.svc_b.contract(vc)), before);
+    let events = w.user_a.events.borrow();
+    assert!(!events.iter().any(|e| matches!(e, Ev::RenegConfirm(..))));
+    let refusals = events
+        .iter()
+        .filter(|e| matches!(e, Ev::Disconnect(_, DisconnectReason::RenegotiationRefused)))
+        .count();
+    assert_eq!(refusals, 1, "the peer hears the one refusal only");
+}
+
+/// With no request pending there is nothing to refuse: the call errs and
+/// the peer sees no spurious `RenegotiationRefused` indication.
+#[test]
+fn refusing_with_nothing_pending_sends_nothing() {
+    let w = world(clean_params());
+    let vc = open_vc(&w, ServiceClass::cm_default(), telephone_req());
+    assert_eq!(
+        w.svc_b.t_renegotiate_response(vc, false),
+        Err(ServiceError::WrongState("no renegotiation pending"))
+    );
+    w.net.engine().run_for(SimDuration::from_millis(100));
+    assert!(w.svc_a.is_open(vc));
+    assert!(!w
+        .user_a
+        .events
+        .borrow()
+        .iter()
+        .any(|e| matches!(e, Ev::Disconnect(..))));
 }
 
 #[test]
