@@ -9,7 +9,7 @@
 //! property the zones differential pins.
 
 use crate::{ContractBreach, SegClass};
-use cm_telemetry::Histogram;
+use cm_telemetry::{json_str, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -133,10 +133,6 @@ fn dominant(causes: &[u64; 7]) -> &'static str {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Render per-zone reports into the deterministic JSON artifact.
 ///
 /// Shards may arrive in any order; they are sorted by zone id, and the
@@ -187,11 +183,11 @@ pub fn render_report(zones: &[ObsZoneReport]) -> String {
         );
         for (si, s) in z.streams.iter().enumerate() {
             out.push_str("\n      {");
+            let _ = write!(out, "\"stream\": {}, \"label\": ", s.stream);
+            json_str(&mut out, &s.label);
             let _ = write!(
                 out,
-                "\"stream\": {}, \"label\": \"{}\", \"deadline_us\": {}, \"allowed_miss_ppm\": {}, \"spans\": {}, \"misses\": {}, \"dominant_cause\": \"{}\", \"miss_causes\": ",
-                s.stream,
-                json_escape(&s.label),
+                ", \"deadline_us\": {}, \"allowed_miss_ppm\": {}, \"spans\": {}, \"misses\": {}, \"dominant_cause\": \"{}\", \"miss_causes\": ",
                 s.deadline_us,
                 s.allowed_miss_ppm,
                 s.spans,
@@ -248,10 +244,11 @@ pub fn render_report(zones: &[ObsZoneReport]) -> String {
     out.push_str("  \"rooms\": [\n");
     let n = rooms.len();
     for (i, (label, (spans, misses, causes, underruns))) in rooms.iter().enumerate() {
+        out.push_str("    {\"label\": ");
+        json_str(&mut out, label);
         let _ = write!(
             out,
-            "    {{\"label\": \"{}\", \"spans\": {}, \"misses\": {}, \"dominant_cause\": \"{}\", \"underruns\": {}, \"miss_causes\": ",
-            json_escape(label),
+            ", \"spans\": {}, \"misses\": {}, \"dominant_cause\": \"{}\", \"underruns\": {}, \"miss_causes\": ",
             spans,
             misses,
             dominant(causes),
@@ -315,6 +312,17 @@ mod tests {
             telemetry_overflow: 0,
             streams: s,
         }
+    }
+
+    /// User-supplied room names reach the labels: control characters are
+    /// escaped, so the report stays valid JSON.
+    #[test]
+    fn labels_with_control_characters_are_escaped() {
+        let label = "room:a\n\t\u{1}/main";
+        let out = render_report(&[zone(0, vec![stream(label, 1, 0, 0)])]);
+        let escaped = "\"label\": \"room:a\\n\\t\\u0001/main\"";
+        assert_eq!(out.matches(escaped).count(), 2, "stream row and room rollup");
+        assert!(!out.contains(label));
     }
 
     #[test]

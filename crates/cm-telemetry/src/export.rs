@@ -12,8 +12,11 @@
 use crate::{Event, Telemetry, Value};
 use std::fmt::Write;
 
-/// Escape a string into a JSON string literal (with quotes).
-fn json_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal, quotes included:
+/// `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` take their
+/// short forms, and every other control character below U+0020 becomes a
+/// `\u00XX` escape — so any label is valid JSON.
+pub fn json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

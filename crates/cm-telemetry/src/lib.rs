@@ -28,6 +28,7 @@ mod export;
 mod merge;
 mod metrics;
 
+pub use export::json_str;
 pub use merge::merge_jsonl;
 pub use metrics::Histogram;
 
@@ -383,7 +384,8 @@ impl Telemetry {
         self.inner.histograms.borrow_mut().clear();
     }
 
-    /// Export events then metrics as JSON Lines (see [`export`] docs).
+    /// Export events then metrics as JSON Lines: events in emission order,
+    /// then metrics in sorted-name order, byte-deterministic.
     pub fn export_jsonl(&self) -> String {
         export::jsonl(self)
     }
