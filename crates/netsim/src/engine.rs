@@ -9,7 +9,7 @@
 //!
 //! Control-plane events are boxed closures ([`Engine::schedule_at`]); the
 //! packet data plane instead schedules typed
-//! [`PacketFlight`](crate::packet::PacketFlight) events
+//! [`PacketFlight`] events
 //! ([`Engine::schedule_flight`]) kept in pooled cells referenced from the
 //! slab and handed to the network's registered dispatcher — steady-state
 //! forwarding allocates nothing per hop, and slab slots stay pointer-sized.
@@ -26,7 +26,7 @@
 //! # Scheduler internals
 //!
 //! Events live in a slab of reusable slots addressed by a hierarchical timer
-//! wheel ([`LEVELS`] levels of [`SLOTS`] slots, each level covering 64× the
+//! wheel (`LEVELS` levels of `SLOTS` slots, each level covering 64× the
 //! span of the one below — level 0 resolves single microseconds, the top
 //! level ~19 simulated hours). Events beyond the wheel span wait in a small
 //! overflow heap and migrate into the wheel as the cursor approaches.
