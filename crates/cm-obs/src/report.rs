@@ -321,7 +321,11 @@ mod tests {
         let label = "room:a\n\t\u{1}/main";
         let out = render_report(&[zone(0, vec![stream(label, 1, 0, 0)])]);
         let escaped = "\"label\": \"room:a\\n\\t\\u0001/main\"";
-        assert_eq!(out.matches(escaped).count(), 2, "stream row and room rollup");
+        assert_eq!(
+            out.matches(escaped).count(),
+            2,
+            "stream row and room rollup"
+        );
         assert!(!out.contains(label));
     }
 
